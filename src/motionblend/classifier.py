@@ -374,7 +374,7 @@ def load_model(path) -> EncoderModel:
         ds_fp = lines[4].split()[1]
     except (IndexError, ValueError) as exc:
         raise DatasetParseError(f"bad model header: {exc}") from exc
-    net = params_from_lines(lines[5:], dims, output="sigmoid")
+    net = params_from_lines(lines[5:], dims, output="sigmoid", first_line=6)
     return EncoderModel(
         net=net,
         lower_threshold=lower,

@@ -343,6 +343,11 @@ def cmd_evaluate(args) -> int:
         if not args.agent:
             raise ConfigError("mode online+rl needs --agent")
         agent = rl.load_agent(args.agent)
+        if agent.rho != part.signal_config.rho:
+            raise ShapeMismatchError(
+                f"agent was trained for rho {agent.rho}, "
+                f"the dataset has rho {part.signal_config.rho}"
+            )
         if agent.table_fingerprint not in ("-", blending.table_fingerprint(table)):
             raise StaleArtifactError("agent was trained against a different table")
     val_ids = set(_read_val_ids(args.val_ids))

@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import ConfigError, DatasetParseError
 
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
+
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
@@ -139,7 +141,25 @@ def q_gradients(net: Mlp, x, actions, targets):
 
 
 class Adam:
-    """Adam optimizer over an Mlp's parameter list."""
+    """Adam optimizer over an Mlp's parameter list.
+
+    The first and second moments live in one flat buffer each; ``_m`` and
+    ``_v`` are per-parameter views into them, shaped like the parameters.
+    A step is a fixed set of in-place ufunc calls on the flat buffers, with
+    no temporaries, and keeps the per-element expression and its order of
+    operations, ``lr * (m / c1) / (sqrt(v / c2) + eps)``, so it rounds
+    exactly like the textbook per-array update.
+
+    First moments below the smallest normal float64 (``tiny``) are flushed
+    to zero. A dead ReLU unit gets zero gradient, so its first moment
+    decays by beta1 a step until it turns subnormal, where it sticks at a
+    few units in the last place; arithmetic on subnormals runs several
+    times slower. Such a moment moves its parameter by at most
+    ``lr * tiny / (c1 * eps)``, below 1e-300, which rounds away against any
+    parameter larger than about 1e-284, so the flush does not change the
+    trained parameters; tests check this bit for bit against the
+    unflushed update.
+    """
 
     def __init__(self, net: Mlp, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -147,10 +167,17 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(w) for w in net.weights] + [
-            np.zeros_like(b) for b in net.biases
-        ]
-        self._v = [np.zeros_like(m) for m in self._m]
+        params = net.weights + net.biases
+        bounds = np.cumsum([0] + [p.size for p in params])
+        size = int(bounds[-1])
+        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._m_flat = np.zeros(size)
+        self._v_flat = np.zeros(size)
+        self._m = [self._m_flat[sl].reshape(p.shape) for sl, p in zip(self._slices, params)]
+        self._v = [self._v_flat[sl].reshape(p.shape) for sl, p in zip(self._slices, params)]
+        self._grad = np.empty(size)
+        self._tmp = np.empty(size)
+        self._negligible = np.empty(size, dtype=bool)
 
     def step(self, net: Mlp, grads_w, grads_b) -> None:
         self.t += 1
@@ -158,12 +185,26 @@ class Adam:
         grads = list(grads_w) + list(grads_b)
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g**2
-            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+        m, v, g, tmp = self._m_flat, self._v_flat, self._grad, self._tmp
+        np.concatenate([grad.reshape(-1) for grad in grads], out=g)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        np.less(np.abs(m, out=tmp), _TINY, out=self._negligible)
+        np.copyto(m, 0.0, where=self._negligible)
+        v *= self.beta2
+        np.square(g, out=tmp)
+        tmp *= 1.0 - self.beta2
+        v += tmp
+        np.divide(v, correct2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        # The gradient is consumed; g now holds the update.
+        np.divide(m, correct1, out=g)
+        g *= self.lr
+        g /= tmp
+        for sl, p in zip(self._slices, params):
+            p -= g[sl].reshape(p.shape)
 
 
 def params_to_lines(net: Mlp) -> list:
@@ -178,8 +219,14 @@ def params_to_lines(net: Mlp) -> list:
     return lines
 
 
-def params_from_lines(lines, dims, output) -> Mlp:
-    """Rebuild an Mlp from params_to_lines output; validates every shape."""
+def params_from_lines(lines, dims, output, first_line=1) -> Mlp:
+    """Rebuild an Mlp from params_to_lines output; validates every shape.
+
+    Every value must be a finite float. ``first_line`` is the file line
+    number of ``lines[0]``, so each DatasetParseError names its file line.
+    """
+    if len(dims) < 2 or any(int(d) != d or d < 1 for d in dims):
+        raise DatasetParseError(f"bad layer dims {list(dims)}")
     net = Mlp.__new__(Mlp)
     net.dims = [int(d) for d in dims]
     net.output = output
@@ -190,26 +237,39 @@ def params_from_lines(lines, dims, output) -> Mlp:
     def take():
         nonlocal pos
         if pos >= len(lines):
-            raise DatasetParseError("model text ended early")
-        line = lines[pos]
+            raise DatasetParseError(f"line {first_line + pos}: model text ended early")
         pos += 1
-        return line
+        return first_line + pos - 1, lines[pos - 1]
+
+    def header(*expected):
+        lineno, line = take()
+        want = " ".join(str(x) for x in expected)
+        if line.split() != want.split():
+            raise DatasetParseError(
+                f"line {lineno}: expected {want!r}, got {line[:40]!r}"
+            )
+
+    def row(width, what):
+        lineno, line = take()
+        try:
+            values = np.array([float(x) for x in line.split()])
+        except ValueError:
+            raise DatasetParseError(f"line {lineno}: {what}: not a number") from None
+        if values.size != width:
+            raise DatasetParseError(
+                f"line {lineno}: {what}: expected {width} values, got {values.size}"
+            )
+        if not np.all(np.isfinite(values)):
+            raise DatasetParseError(f"line {lineno}: {what}: non-finite value")
+        return values
 
     for i, (d_in, d_out) in enumerate(zip(net.dims[:-1], net.dims[1:])):
-        head = take().split()
-        if head[:2] != ["layer", str(i)] or [int(head[2]), int(head[3])] != [d_in, d_out]:
-            raise DatasetParseError(f"bad layer header {' '.join(head)!r}")
-        w = np.array([[float(x) for x in take().split()] for _ in range(d_in)])
-        if w.shape != (d_in, d_out):
-            raise DatasetParseError(f"layer {i}: expected {(d_in, d_out)} weights")
-        head = take().split()
-        if head[:2] != ["bias", str(i)] or int(head[2]) != d_out:
-            raise DatasetParseError(f"bad bias header {' '.join(head)!r}")
-        b = np.array([float(x) for x in take().split()])
-        if b.shape != (d_out,):
-            raise DatasetParseError(f"bias {i}: expected {d_out} values")
-        net.weights.append(w)
-        net.biases.append(b)
+        header("layer", i, d_in, d_out)
+        net.weights.append(np.array([row(d_out, f"layer {i} row") for _ in range(d_in)]))
+        header("bias", i, d_out)
+        net.biases.append(row(d_out, f"bias {i}"))
     if pos != len(lines):
-        raise DatasetParseError(f"{len(lines) - pos} trailing lines after parameters")
+        raise DatasetParseError(
+            f"line {first_line + pos}: {len(lines) - pos} trailing lines after parameters"
+        )
     return net

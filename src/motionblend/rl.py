@@ -487,5 +487,14 @@ def load_agent(path) -> AgentModel:
         dims = [int(d) for d in lines[4].split()[1:]]
     except (IndexError, ValueError) as exc:
         raise DatasetParseError(f"bad agent header: {exc}") from exc
-    net = params_from_lines(lines[5:], dims, output="linear")
+    if not (np.isfinite(state_scale) and state_scale > 0):
+        raise DatasetParseError(
+            f"line 3: state_scale must be finite and positive, got {state_scale!r}"
+        )
+    if len(dims) < 2 or dims[0] != 4 * rho or dims[-1] != 2**rho:
+        raise DatasetParseError(
+            f"line 5: dims {dims} do not fit rho {rho}: "
+            f"expected {4 * rho} inputs and {2**rho} outputs"
+        )
+    net = params_from_lines(lines[5:], dims, output="linear", first_line=6)
     return AgentModel(q_net=net, rho=rho, state_scale=state_scale, table_fingerprint=table_fp)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from motionblend import blending, classifier, dataset
+from motionblend import blending, classifier, dataset, rl
 from motionblend.cli import derive_seed, main
 from motionblend.classifier import Verdict
+from motionblend.nn import Mlp
 
 
 def run(argv, expect=0):
@@ -205,6 +206,16 @@ def test_evaluate_rl_mode_needs_agent(pipe, tmp_path):
          "--mode", "online+rl", "--out", str(tmp_path / "x.csv")], expect=2)
 
 
+def test_evaluate_rl_mode_refuses_agent_for_other_rho(pipe, tmp_path):
+    agent = tmp_path / "agent_rho2.txt"
+    net = Mlp([8, 16, 4], output="linear", rng=np.random.default_rng(0))
+    agent.write_text(rl.serialize_agent(rl.AgentModel(q_net=net, rho=2)))
+    run(["evaluate", "--data", str(pipe["data"]), "--model", str(pipe["model"]),
+         "--table", str(pipe["table"]), "--val-ids", str(pipe["val_ids"]),
+         "--mode", "online+rl", "--agent", str(agent),
+         "--out", str(tmp_path / "x.csv")], expect=3)
+
+
 def test_evaluate_unknown_val_id(pipe, tmp_path):
     bad = tmp_path / "ids.csv"
     bad.write_text("id,label\nghost,0\n")
@@ -237,6 +248,15 @@ def test_stale_model_is_refused(pipe, tmp_path):
     run(["gen-data", "--preset", "small", "--out", str(other), "--seed", "99"])
     run(["build-table", "--data", str(other), "--model", str(pipe["model"]),
          "--out", str(tmp_path / "t.txt")], expect=4)
+
+
+def test_truncated_model_header_is_a_parse_failure(pipe, tmp_path):
+    lines = pipe["model"].read_text().splitlines()
+    assert lines[5].startswith("layer 0 ")
+    broken = tmp_path / "model.txt"
+    broken.write_text("\n".join(lines[:5] + ["layer 0"] + lines[6:]) + "\n")
+    run(["build-table", "--data", str(pipe["data"]), "--model", str(broken),
+         "--out", str(tmp_path / "t.txt")], expect=3)
 
 
 def test_config_file_overrides_schedule(pipe, tmp_path):

@@ -206,6 +206,60 @@ def test_adam_fits_affine_target():
     assert loss < 1e-6
 
 
+class ReferenceAdam:
+    """The textbook per-array Adam step, without the flush: the reference
+    the optimizer must match bit for bit."""
+
+    def __init__(self, net, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self._m = [np.zeros_like(p) for p in net.weights + net.biases]
+        self._v = [np.zeros_like(m) for m in self._m]
+
+    def step(self, net, grads_w, grads_b):
+        self.t += 1
+        params = net.weights + net.biases
+        grads = list(grads_w) + list(grads_b)
+        correct1 = 1.0 - self.beta1**self.t
+        correct2 = 1.0 - self.beta2**self.t
+        for p, g, m, v in zip(params, grads, self._m, self._v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g**2
+            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+
+
+def test_adam_flush_matches_reference_bitwise():
+    # From step 5 on, hidden units 0-2 are dead for every input (bias -1e3),
+    # so their first moments decay by 0.9 a step and the reference's turn
+    # subnormal after about 7k steps.
+    rng = np.random.default_rng(17)
+    net = Mlp([3, 8, 2], output="linear", rng=rng)
+    x = np.abs(rng.normal(0, 1, (16, 3)))
+    actions = rng.integers(0, 2, 16)
+    targets = rng.normal(0, 1, 16)
+    ref_net = net.copy()
+    opt, ref = Adam(net), ReferenceAdam(ref_net)
+    tiny = np.finfo(np.float64).tiny
+    for step in range(7600):
+        if step == 5:
+            for n in (net, ref_net):
+                n.biases[0][:3] = -1e3
+        for n, o in ((net, opt), (ref_net, ref)):
+            _, gw, gb = q_gradients(n, x, actions, targets)
+            o.step(n, gw, gb)
+    ref_m = np.concatenate([m.ravel() for m in ref._m])
+    assert np.any((ref_m != 0.0) & (np.abs(ref_m) < tiny))
+    for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
+        assert a.tobytes() == b.tobytes()
+    for m in opt._m:
+        assert not np.any((m != 0.0) & (np.abs(m) < tiny))
+    for arrays in (opt._m, opt._v):
+        assert isinstance(arrays, list)
+        assert [a.shape for a in arrays] == [p.shape for p in net.weights + net.biases]
+
+
 def test_params_text_roundtrip_exact():
     net = Mlp([3, 4, 2], output="linear", rng=np.random.default_rng(15))
     lines = params_to_lines(net)
@@ -224,3 +278,37 @@ def test_params_from_lines_errors():
     bad = ["layer 1 2 2"] + lines[1:]
     with pytest.raises(DatasetParseError):
         params_from_lines(bad, net.dims, output="linear")
+
+
+# Lines of a [2, 3] network: 0 layer header, 1-2 rows, 3 bias header, 4 bias.
+@pytest.mark.parametrize(
+    "index, text, line_no",
+    [
+        (0, "layer 0", 10),
+        (0, "layer", 10),
+        (0, "layer 0 two 3", 10),
+        (3, "bias 0", 13),
+        (1, "0.5 0.25", 11),
+        (2, "0.5 0.25 0.125 1.0", 12),
+        (1, "0.5 zero 0.25", 11),
+        (1, "bias 0 3", 11),
+        (3, "0.5 0.25 0.125", 13),
+        (4, "0.5 0.25", 14),
+        (2, "0.5 nan 0.25", 12),
+        (1, "inf 0.5 0.25", 11),
+        (4, "0.5 0.25 -inf", 14),
+    ],
+)
+def test_params_from_lines_names_the_bad_line(index, text, line_no):
+    net = Mlp([2, 3], output="linear", rng=np.random.default_rng(18))
+    lines = params_to_lines(net)
+    lines[index] = text
+    with pytest.raises(DatasetParseError, match=f"^line {line_no}:"):
+        params_from_lines(lines, net.dims, output="linear", first_line=10)
+
+
+def test_params_from_lines_rejects_bad_dims():
+    with pytest.raises(DatasetParseError):
+        params_from_lines([], [4], output="linear")
+    with pytest.raises(DatasetParseError):
+        params_from_lines([], [4, 0, 1], output="linear")

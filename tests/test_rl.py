@@ -321,3 +321,34 @@ def test_load_agent_rejects_bad_header(tmp_path):
     path.write_text("nope\n")
     with pytest.raises(DatasetParseError):
         load_agent(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ("state_scale 0.001", "state_scale nan", "line 3"),
+        ("state_scale 0.001", "state_scale inf", "line 3"),
+        ("state_scale 0.001", "state_scale 0.0", "line 3"),
+        ("rho 3", "rho 2", "line 5"),
+        ("dims 12 16 8", "dims 12 16 4", "line 5"),
+    ],
+)
+def test_load_agent_rejects_inconsistent_header(tmp_path, old, new, where):
+    net = Mlp([12, 16, 8], output="linear", rng=np.random.default_rng(4))
+    text = rl.serialize_agent(AgentModel(q_net=net))
+    assert old in text
+    path = tmp_path / "agent.txt"
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(DatasetParseError, match=f"^{where}:"):
+        load_agent(path)
+
+
+def test_load_agent_rejects_non_finite_weights(tmp_path):
+    net = Mlp([12, 16, 8], output="linear", rng=np.random.default_rng(5))
+    net.weights[1][2, 3] = np.nan
+    path = tmp_path / "agent.txt"
+    path.write_text(rl.serialize_agent(AgentModel(q_net=net)))
+    # Lines 1-5 header, 6 layer 0 header, 7-18 its rows, 19-20 bias 0,
+    # 21 layer 1 header: row 2 of layer 1 is line 24.
+    with pytest.raises(DatasetParseError, match="^line 24:"):
+        load_agent(path)
