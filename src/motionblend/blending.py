@@ -32,10 +32,14 @@ from .errors import (
     ShapeMismatchError,
     StaleArtifactError,
 )
+from .nn import header_text, header_values
 from .signals import MotionSignal, project
 
 _TABLE_HEADER = "motionblend-table v1"
 DEFAULT_GRID_COUNT = 51
+# Encoded columns scored per broadcast in the table scan: a chunk's
+# first-layer buffer (columns x grid points x hidden units) stays in cache.
+_SCAN_CHUNK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,55 +133,75 @@ def _support(values: np.ndarray, eff: int) -> int:
 
 
 class _TableContext:
-    """Per-process state for table building: model, encoded side, caches."""
+    """Per-process state for table building: model, encoded side, caches.
+
+    The classifier's first layer is linear in the blend coefficient:
+    features(c) = c * f_h + (1 - c) * f_r, so its pre-activations are
+    z1(c) = (f_r W1 + b1) + c * (f_h W1 - f_r W1). Every featurized window
+    is projected through W1 once, and a grid blend costs only the layers
+    after the first.
+    """
 
     def __init__(self, model, enc_values, enc_supports, grid_values, points):
         self.model = model
         self.enc_values = enc_values
-        self.enc_supports = enc_supports
+        self.enc_supports = np.asarray(enc_supports, dtype=np.int64)
         self.grid_values = grid_values
         self.points = points
-        self.enc_feature_cache = {}
+        self.enc_projection_cache = {}
+        # c = 1 is scored on the query's own window, so the broadcast covers
+        # the other grid points only.
+        self._z1 = np.empty((_SCAN_CHUNK, grid_values.size - 1, model.net.dims[1]))
 
-    def encoded_features(self, j: int, length: int) -> np.ndarray:
+    def encoded_projection(self, j: int, length: int) -> np.ndarray:
         key = (j, length)
-        feats = self.enc_feature_cache.get(key)
-        if feats is None:
+        proj = self.enc_projection_cache.get(key)
+        if proj is None:
             feats = _featurize_values(self.enc_values[j][:length], self.points)
-            self.enc_feature_cache[key] = feats
-        return feats
+            proj = feats @ self.model.net.weights[0]
+            self.enc_projection_cache[key] = proj
+        return proj
 
     def scan_row(self, ne_values: np.ndarray, ne_eff: int) -> np.ndarray:
         """Largest accepted coefficient against every encoded sample.
 
-        Resampling is linear in the signal values, so for interior c the
-        features of every grid blend come from two featurize calls per pair
-        and the whole column of scores is evaluated at once; the first
-        Encoded coefficient scanning down from 1 is simply the largest
-        accepted one. The c = 1 endpoint keeps the query's own window, so
-        its score is evaluated separately.
+        A pair's features come from the window max(sup_h, sup_j), so both
+        sides are featurized over it and the blend is taken in feature
+        space. The c = 1 endpoint keeps the query's own window, so its score
+        is evaluated separately; the other grid points are scored a few
+        columns at a time into one preallocated buffer. The recorded entry
+        is the largest grid index whose score clears the upper threshold, 0
+        if none.
         """
-        c = self.grid_values
-        upper = self.model.upper_threshold
-        row = np.zeros(len(self.enc_values), dtype=np.int64)
+        net = self.model.net
         sup_h = _support(ne_values, ne_eff)
         f_own = _featurize_values(ne_values[:sup_h], self.points)
         own_score = float(forward(self.model, f_own))
-        window_cache = {}
-        for j in range(len(self.enc_values)):
-            length = max(sup_h, self.enc_supports[j])
-            fh = window_cache.get(length)
-            if fh is None:
-                fh = _featurize_values(ne_values[:length], self.points)
-                window_cache[length] = fh
-            fr = self.encoded_features(j, length)
-            feats = np.outer(c, fh) + np.outer(1.0 - c, fr)
-            scores = forward(self.model, feats)
-            scores[-1] = own_score
-            accepted = np.nonzero(scores > upper)[0]
-            if accepted.size:
-                row[j] = accepted[-1]
-        return row
+        lengths = np.maximum(sup_h, self.enc_supports)
+        windows, which = np.unique(lengths, return_inverse=True)
+        p_h = np.stack([
+            (f_own if n == sup_h else _featurize_values(ne_values[:n], self.points))
+            @ net.weights[0]
+            for n in windows
+        ])[which]
+        p_r = np.stack(
+            [self.encoded_projection(j, int(n)) for j, n in enumerate(lengths)]
+        )
+        base = p_r + net.biases[0]
+        slope = p_h - p_r
+        c = self.grid_values[:-1, None]
+        n_enc = lengths.size
+        scores = np.empty((n_enc, self.grid_values.size))
+        scores[:, -1] = own_score
+        for start in range(0, n_enc, _SCAN_CHUNK):
+            stop = min(start + _SCAN_CHUNK, n_enc)
+            z1 = self._z1[: stop - start]
+            np.multiply(c, slope[start:stop, None, :], out=z1)
+            z1 += base[start:stop, None, :]
+            scores[start:stop, :-1] = net.forward_from_first_layer(z1)[..., 0]
+        accepted = scores > self.model.upper_threshold
+        last = accepted.shape[1] - 1 - np.argmax(accepted[:, ::-1], axis=1)
+        return np.where(accepted.any(axis=1), last, 0).astype(np.int64)
 
 
 _WORKER_CTX = None
@@ -309,14 +333,13 @@ def load_table(path) -> BlendTable:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _TABLE_HEADER:
         raise DatasetParseError(f"line 1: expected {_TABLE_HEADER!r}")
-    try:
-        e_des = int(lines[1].split()[1])
-        count = int(lines[2].split()[1])
-        fingerprint = lines[3].split()[1]
-        ne_ids = tuple(lines[4].split(" ", 1)[1].split(","))
-        e_ids = tuple(lines[5].split(" ", 1)[1].split(","))
-    except (IndexError, ValueError) as exc:
-        raise DatasetParseError(f"bad table header: {exc}") from exc
+    (e_des,) = header_values(lines, 2, "e_des", int, count=1)
+    (count,) = header_values(lines, 3, "grid", int, count=1)
+    if count < 2:
+        raise DatasetParseError(f"line 3: grid count must be >= 2, got {count}")
+    (fingerprint,) = header_values(lines, 4, "classifier", str, count=1)
+    ne_ids = tuple(header_text(lines, 5, "not_encoded_ids").split(","))
+    e_ids = tuple(header_text(lines, 6, "encoded_ids").split(","))
     body = lines[6:]
     if len(body) != len(ne_ids):
         raise DatasetParseError(

@@ -21,7 +21,15 @@ from scipy.interpolate import CubicSpline
 
 from .dataset import PartitionedDataset, partition
 from .errors import ConfigError, DatasetParseError, FeatureError, TrainingError
-from .nn import Adam, Mlp, bce_gradients, bce_loss, params_from_lines, params_to_lines
+from .nn import (
+    Adam,
+    Mlp,
+    bce_gradients,
+    bce_loss,
+    header_values,
+    params_from_lines,
+    params_to_lines,
+)
 from .signals import MotionSignal, Signal, SignalPrefix
 
 POINTS_PER_AXIS = 20
@@ -54,8 +62,9 @@ def _featurize_values(values: np.ndarray, points: int) -> np.ndarray:
         )
     knots = np.arange(n, dtype=float)
     grid = np.linspace(0.0, float(n - 1), points)
-    cols = [CubicSpline(knots, values[:, axis])(grid) for axis in range(values.shape[1])]
-    return np.concatenate(cols)
+    # One spline over all axes solves the banded system with one right-hand
+    # side per axis; every column equals its per-axis spline bit for bit.
+    return CubicSpline(knots, values, axis=0)(grid).T.ravel()
 
 
 def featurize(v: Signal, points: int = POINTS_PER_AXIS) -> np.ndarray:
@@ -192,13 +201,18 @@ def train(
     the network keeps the weights it stopped with, which carry more of the
     confidence the clipped decision layer needs than the argmin epoch does.
     """
-    points = POINTS_PER_AXIS
-    x, y = _features_and_labels(part, points)
+    x, y = _features_and_labels(part, POINTS_PER_AXIS)
+    val = None if val_part is None else _features_and_labels(val_part, POINTS_PER_AXIS)
+    return _train_on_features(x, y, cfg, val)
+
+
+def _train_on_features(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, val=None):
+    """train() on featurized rows; ``val`` is an optional (xv, yv) pair."""
     mu = x.mean(axis=0)
     sd = np.maximum(x.std(axis=0), 1e-6)
     xs = (x - mu) / sd
-    if val_part is not None:
-        xv, yv = _features_and_labels(val_part, points)
+    if val is not None:
+        xv, yv = val
         xvs = (xv - mu) / sd
     rng = np.random.default_rng(cfg.seed)
     net = Mlp([x.shape[1], HIDDEN_UNITS, 1], output="sigmoid", rng=rng)
@@ -220,7 +234,7 @@ def train(
         scores = net.forward(xs)[:, 0]
         curves.train_loss.append(bce_loss(scores, y))
         curves.train_acc.append(float(np.mean((scores > 0.5) == (y > 0.5))))
-        if val_part is not None:
+        if val is not None:
             val_scores = net.forward(xvs)[:, 0]
             vl = bce_loss(val_scores, yv)
             curves.val_loss.append(vl)
@@ -257,11 +271,25 @@ class SplitMetrics:
     epochs_ran: int
 
 
-def evaluate_split(model: EncoderModel, val_part: PartitionedDataset, epochs_ran=0):
-    """Compute SplitMetrics for a model on held-out samples."""
+def evaluate_split(
+    model: EncoderModel,
+    val_part: PartitionedDataset,
+    epochs_ran=0,
+    features: Optional[np.ndarray] = None,
+):
+    """Compute SplitMetrics for a model on held-out samples.
+
+    ``features`` optionally holds the samples' featurized rows in
+    ``val_part.all`` order; each row is still scored on its own, so the
+    verdicts equal classify()'s.
+    """
     counts = {1: [0, 0, 0], 0: [0, 0, 0]}  # level -> [correct, wrong, unclassified]
-    for s in val_part.all:
-        verdict = classify(model, s.velocity).verdict
+    for k, s in enumerate(val_part.all):
+        if features is None:
+            verdict = classify(model, s.velocity).verdict
+        else:
+            score = forward(model, features[k])
+            verdict = decide(score, model.lower_threshold, model.upper_threshold)
         if verdict is Verdict.UNCLASSIFIED:
             counts[s.encoding_level][2] += 1
         elif (verdict is Verdict.ENCODED) == (s.encoding_level == 1):
@@ -306,12 +334,10 @@ def _stratified_split(part: PartitionedDataset, fraction: float, rng):
         n_train = min(max(n_train, 1), len(side) - 1)
         train_idx.extend(side[order[:n_train]])
         val_idx.extend(side[order[n_train:]])
-    train_samples = [part.all[i] for i in sorted(train_idx)]
-    val_samples = [part.all[i] for i in sorted(val_idx)]
-    return (
-        partition(train_samples, part.e_des),
-        partition(val_samples, part.e_des),
-    )
+    train_idx, val_idx = sorted(train_idx), sorted(val_idx)
+    train_part = partition([part.all[i] for i in train_idx], part.e_des)
+    val_part = partition([part.all[i] for i in val_idx], part.e_des)
+    return train_part, val_part, train_idx, val_idx
 
 
 def cross_validate(part: PartitionedDataset, cfg: TrainConfig) -> CrossValReport:
@@ -319,19 +345,26 @@ def cross_validate(part: PartitionedDataset, cfg: TrainConfig) -> CrossValReport
 
     Runs ``cfg.splits`` independent 70/30 (by default) splits, each with its
     own derived seed, and keeps the model with the best overall validation
-    accuracy together with its held-out subset.
+    accuracy together with its held-out subset. Every sample is featurized
+    once; each split indexes those rows.
     """
     if len(part.encoded) < 2 or len(part.not_encoded) < 2:
         raise ConfigError("need at least 2 samples per class to split")
+    x, y = _features_and_labels(part, POINTS_PER_AXIS)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.splits)
     metrics, all_curves = [], []
     best = None
     for i, child in enumerate(children):
         split_seed = int(child.generate_state(1)[0])
         rng = np.random.default_rng(split_seed)
-        train_part, val_part = _stratified_split(part, cfg.train_fraction, rng)
-        model, curves = train(train_part, replace(cfg, seed=split_seed), val_part)
-        m = evaluate_split(model, val_part, epochs_ran=len(curves))
+        train_part, val_part, train_idx, val_idx = _stratified_split(
+            part, cfg.train_fraction, rng
+        )
+        model, curves = _train_on_features(
+            x[train_idx], y[train_idx], replace(cfg, seed=split_seed),
+            (x[val_idx], y[val_idx]),
+        )
+        m = evaluate_split(model, val_part, len(curves), x[val_idx])
         metrics.append(m)
         all_curves.append(curves)
         if best is None or m.overall_acc > best[0]:
@@ -367,13 +400,15 @@ def load_model(path) -> EncoderModel:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _MODEL_HEADER:
         raise DatasetParseError(f"line 1: expected {_MODEL_HEADER!r}")
-    try:
-        dims = [int(d) for d in lines[1].split()[1:]]
-        lower, upper = (float(x) for x in lines[2].split()[1:])
-        points = int(lines[3].split()[1])
-        ds_fp = lines[4].split()[1]
-    except (IndexError, ValueError) as exc:
-        raise DatasetParseError(f"bad model header: {exc}") from exc
+    dims = header_values(lines, 2, "dims", int)
+    lower, upper = header_values(lines, 3, "thresholds", float, count=2)
+    if not (0.0 <= lower < upper <= 1.0):
+        raise DatasetParseError(
+            f"line 3: thresholds must satisfy 0 <= lower < upper <= 1, "
+            f"got {lower!r} and {upper!r}"
+        )
+    (points,) = header_values(lines, 4, "points_per_axis", int, count=1)
+    (ds_fp,) = header_values(lines, 5, "dataset", str, count=1)
     net = params_from_lines(lines[5:], dims, output="sigmoid", first_line=6)
     return EncoderModel(
         net=net,

@@ -301,8 +301,9 @@ def serialize(samples: Sequence[LabeledSample]) -> str:
             raise ConfigError(f"sample id {s.id!r} contains a separator")
         eff = s.velocity.effective_length
         fields = [s.id, str(s.encoding_level), _format_float(s.velocity.config.dt)]
-        fields += [_format_float(x) for x in s.initial_position]
-        fields += [_format_float(x) for x in s.velocity.values[:eff].ravel()]
+        # tolist() yields Python floats, whose repr is _format_float's text.
+        fields += map(repr, s.initial_position.tolist())
+        fields += map(repr, s.velocity.values[:eff].ravel().tolist())
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
 
@@ -348,15 +349,19 @@ def load(path) -> list:
         try:
             level = int(fields[1])
         except ValueError:
+            level = None
+        if level not in (0, 1):
             raise DatasetParseError(f"line {lineno}: field 2: bad label {fields[1]!r}")
         try:
             dt = float(fields[2])
         except ValueError:
             raise DatasetParseError(f"line {lineno}: field 3: bad dt {fields[2]!r}")
         try:
-            numbers = np.array([float(x) for x in fields[3:]])
+            numbers = np.array(list(map(float, fields[3:])))
         except ValueError as exc:
             raise DatasetParseError(f"line {lineno}: bad numeric field: {exc}")
+        if not (np.isfinite(dt) and np.all(np.isfinite(numbers))):
+            raise DatasetParseError(f"line {lineno}: non-finite numeric field")
         if (numbers.size - rho) % rho != 0 or numbers.size <= rho:
             raise DatasetParseError(
                 f"line {lineno}: {numbers.size - rho} velocity values is not a "

@@ -67,6 +67,21 @@ class Mlp:
         out = self._apply_head(a @ self.weights[-1] + self.biases[-1])
         return out[0] if squeeze else out
 
+    def forward_from_first_layer(self, z1: np.ndarray) -> np.ndarray:
+        """Finish an inference pass from first-layer pre-activations.
+
+        ``z1`` has shape (..., dims[1]) and holds x @ W0 + b0 however the
+        caller computed it; it is overwritten with its ReLU. Returns the
+        outputs with shape (..., dims[-1]).
+        """
+        if len(self.weights) == 1:
+            return self._apply_head(z1)
+        a = np.maximum(z1, 0.0, out=z1).reshape(-1, z1.shape[-1])
+        for w, b in zip(self.weights[1:-1], self.biases[1:-1]):
+            a = np.maximum(a @ w + b, 0.0)
+        out = self._apply_head(a @ self.weights[-1] + self.biases[-1])
+        return out.reshape(z1.shape[:-1] + (self.dims[-1],))
+
     def _forward_train(self, x, dropout_rate, rng):
         """Forward pass keeping activations and inverted-dropout masks."""
         acts = [np.asarray(x, dtype=float)]
@@ -217,6 +232,37 @@ def params_to_lines(net: Mlp) -> list:
         lines.append(f"bias {i} {b.shape[0]}")
         lines.append(" ".join(repr(float(x)) for x in b))
     return lines
+
+
+def header_text(lines, lineno: int, key: str) -> str:
+    """Text after ``key`` on 1-based line ``lineno`` of an artifact file.
+
+    A missing line or one that starts with another key is a DatasetParseError
+    naming the line.
+    """
+    if lineno > len(lines):
+        raise DatasetParseError(f"line {lineno}: expected {key!r}, file ended")
+    name, _, rest = lines[lineno - 1].partition(" ")
+    if name != key:
+        raise DatasetParseError(f"line {lineno}: expected {key!r}, got {name[:40]!r}")
+    return rest
+
+
+def header_values(lines, lineno: int, key: str, convert, count=None) -> list:
+    """``key``'s whitespace-separated values on line ``lineno``, converted.
+
+    ``count`` pins the number of values; a wrong count or a value
+    ``convert`` rejects is a DatasetParseError naming the line.
+    """
+    tokens = header_text(lines, lineno, key).split()
+    if count is not None and len(tokens) != count:
+        raise DatasetParseError(
+            f"line {lineno}: {key}: expected {count} values, got {len(tokens)}"
+        )
+    try:
+        return [convert(tok) for tok in tokens]
+    except ValueError:
+        raise DatasetParseError(f"line {lineno}: {key}: bad value") from None
 
 
 def params_from_lines(lines, dims, output, first_line=1) -> Mlp:

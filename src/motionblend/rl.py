@@ -30,7 +30,14 @@ from .errors import (
     ProtocolError,
     TrainingError,
 )
-from .nn import Adam, Mlp, params_from_lines, params_to_lines, q_gradients
+from .nn import (
+    Adam,
+    Mlp,
+    header_values,
+    params_from_lines,
+    params_to_lines,
+    q_gradients,
+)
 from .online import OnlineSchedule, replay
 from .signals import MotionSignal, SignalConfig, terminal_instant
 
@@ -480,13 +487,10 @@ def load_agent(path) -> AgentModel:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _AGENT_HEADER:
         raise DatasetParseError(f"line 1: expected {_AGENT_HEADER!r}")
-    try:
-        rho = int(lines[1].split()[1])
-        state_scale = float(lines[2].split()[1])
-        table_fp = lines[3].split()[1]
-        dims = [int(d) for d in lines[4].split()[1:]]
-    except (IndexError, ValueError) as exc:
-        raise DatasetParseError(f"bad agent header: {exc}") from exc
+    (rho,) = header_values(lines, 2, "rho", int, count=1)
+    (state_scale,) = header_values(lines, 3, "state_scale", float, count=1)
+    (table_fp,) = header_values(lines, 4, "table", str, count=1)
+    dims = header_values(lines, 5, "dims", int)
     if not (np.isfinite(state_scale) and state_scale > 0):
         raise DatasetParseError(
             f"line 3: state_scale must be finite and positive, got {state_scale!r}"

@@ -3,7 +3,8 @@
 Each test prints a single ``[criterion NN] PASS/FAIL`` line (run with
 ``pytest tests/test_acceptance.py -s`` to watch them scroll by). The full-
 scale fixtures are built once per module; expect a few minutes, most of it
-agent training.
+agent training. The criteria that need them carry the ``slow`` marker, so
+``pytest -m "not slow"`` skips the paper-scale build.
 """
 
 import time
@@ -187,6 +188,7 @@ def test_criterion_02_calculus_roundtrip_and_projection():
     )
 
 
+@pytest.mark.slow
 def test_criterion_03_classifier_gradient_check(paper):
     val = paper.report.best_val_part.all
     x = np.stack(
@@ -224,6 +226,7 @@ def test_criterion_03_classifier_gradient_check(paper):
     )
 
 
+@pytest.mark.slow
 def test_criterion_04_classifier_quality(paper):
     means = {
         name: paper.report.mean(name)
@@ -259,6 +262,7 @@ def oracle_entry(model, grid, v_h, v_r):
     return accepted[-1] if accepted else 0
 
 
+@pytest.mark.slow
 def test_criterion_05_table_matches_oracle(
     paper, small_part, small_grid, small_model
 ):
@@ -285,6 +289,7 @@ def test_criterion_05_table_matches_oracle(
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_streaming_matches_offline(paper):
     mismatches = 0
     members = paper.part.not_encoded_samples
@@ -301,6 +306,7 @@ def test_criterion_06_streaming_matches_offline(paper):
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_online_success_rate(online_eval):
     ok = online_eval.success >= 0.80
     report(
@@ -311,6 +317,7 @@ def test_criterion_07_online_success_rate(online_eval):
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_certificate_soundness(paper, rl_eval):
     cfg = paper.correction
     violations = 0
@@ -352,6 +359,7 @@ def test_criterion_08_certificate_soundness(paper, rl_eval):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_correction_tradeoff(agent, online_eval, rl_eval):
     ok = (
         len(agent.log) == 1100

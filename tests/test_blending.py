@@ -1,7 +1,8 @@
 """Blend operation, pairwise coefficient table, and the offline solver.
 
 The table builder's vectorized scan is checked entry for entry against a
-brute-force oracle that blends and classifies through the public API only.
+brute-force oracle that blends and classifies through the public API only,
+and against a copy of the per-pair forward() scan it replaced.
 """
 
 import numpy as np
@@ -20,8 +21,15 @@ from motionblend.blending import (
     table_fingerprint,
     table_to_csv,
 )
-from motionblend.classifier import EncoderModel, Verdict, classify, model_fingerprint
-from motionblend.dataset import partition
+from motionblend.classifier import (
+    EncoderModel,
+    Verdict,
+    _featurize_values,
+    classify,
+    forward,
+    model_fingerprint,
+)
+from motionblend.dataset import LabeledSample, partition
 from motionblend.errors import (
     ConfigError,
     DatasetParseError,
@@ -132,6 +140,114 @@ def test_table_matches_bruteforce_oracle(small_part, small_grid, small_model, sm
             assert small_table.entries[i, j] == expected, (i, j)
 
 
+def _support(values, eff):
+    nonzero = np.nonzero(np.any(values[:eff] != 0.0, axis=1))[0]
+    return int(nonzero[-1]) + 1 if nonzero.size else eff
+
+
+def reference_scores(part, grid, model):
+    """Scores of the per-pair scan the table builder used to run.
+
+    One featurize of each side over the pair's window max(sup_h, sup_j),
+    the feature-space blend for every grid point through forward(), and
+    the query's own-window score at c = 1. Shape (not encoded, encoded,
+    grid points).
+    """
+    points = model.points_per_axis
+    c = grid.values
+    encoded = [
+        (s.velocity.values, _support(s.velocity.values, s.effective_length))
+        for s in part.encoded_samples
+    ]
+    out = []
+    for s in part.not_encoded_samples:
+        values = s.velocity.values
+        sup_h = _support(values, s.effective_length)
+        own = float(forward(model, _featurize_values(values[:sup_h], points)))
+        row = []
+        for enc_values, sup_j in encoded:
+            length = max(sup_h, sup_j)
+            fh = _featurize_values(values[:length], points)
+            fr = _featurize_values(enc_values[:length], points)
+            scores = forward(model, np.outer(c, fh) + np.outer(1.0 - c, fr))
+            scores[-1] = own
+            row.append(scores)
+        out.append(row)
+    return np.array(out)
+
+
+def reference_entries(scores, upper):
+    entries = np.zeros(scores.shape[:2], dtype=np.int64)
+    for i, j in np.ndindex(*entries.shape):
+        accepted = np.nonzero(scores[i, j] > upper)[0]
+        if accepted.size:
+            entries[i, j] = accepted[-1]
+    return entries
+
+
+def split_threshold(scores):
+    """Halfway between the two neighbouring distinct scores at the median,
+    so about half the blends pass and no score lies on the threshold."""
+    distinct = np.unique(scores)
+    k = distinct.size // 2
+    return float(distinct[k - 1] + distinct[k]) / 2
+
+
+@pytest.fixture(scope="module")
+def ragged_part(small_part):
+    """Signals whose trailing zeros give every sample its own support, so
+    the pair window max(sup_h, sup_j) takes either side's length."""
+
+    def cut(sample, support):
+        values = sample.velocity.values.copy()
+        values[support:] = 0.0
+        velocity = MotionSignal(values, sample.velocity.config, sample.effective_length)
+        return LabeledSample(
+            sample.id, velocity, sample.initial_position, sample.encoding_level
+        )
+
+    not_encoded = [
+        cut(s, 118 + 37 * i) for i, s in enumerate(small_part.not_encoded_samples[:6])
+    ]
+    encoded = [cut(s, 100 + 41 * j) for j, s in enumerate(small_part.encoded_samples[:7])]
+    return partition(not_encoded + encoded, 1)
+
+
+@pytest.mark.parametrize(
+    "case", ["fixture", "ragged-supports", "deep-net", "single-layer", "workers-2"]
+)
+def test_table_matches_reference_scan(case, request, small_part, small_grid, small_model):
+    if case == "fixture":
+        part, model = small_part, small_model
+        scores = reference_scores(part, small_grid, model)
+    else:
+        part = request.getfixturevalue("ragged_part")
+        supports = {_support(s.velocity.values, s.effective_length) for s in part.all}
+        assert len(supports) == len(part.all)
+        if case == "ragged-supports":
+            net = small_model.net
+        elif case == "single-layer":
+            net = Mlp([60, 1], rng=np.random.default_rng(8))
+        else:
+            net = Mlp([60, 16, 8, 1], rng=np.random.default_rng(7))
+        scores = reference_scores(part, small_grid, EncoderModel(net=net))
+        # Thresholds only clip scores, so pick one that splits them.
+        model = EncoderModel(
+            net=net, lower_threshold=0.0, upper_threshold=split_threshold(scores)
+        )
+    expected = reference_entries(scores, model.upper_threshold)
+    assert len(np.unique(expected)) > 2
+    workers = 2 if case == "workers-2" else 1
+    table = compute_table(part, small_grid, model, workers=workers)
+    assert np.array_equal(table.entries, expected)
+
+
+def test_table_refuses_feature_width_mismatch(small_part, small_grid):
+    narrow = EncoderModel(net=Mlp([12, 4, 1], rng=np.random.default_rng(9)))
+    with pytest.raises(ConfigError, match="feature width"):
+        compute_table(small_part, small_grid, narrow)
+
+
 def test_table_has_informative_entries(small_table):
     # The trained classifier accepts some genuine mixing; an all-zero or
     # all-one table would make every downstream test vacuous.
@@ -187,6 +303,27 @@ def test_load_table_errors(tmp_path, small_table):
     text = blending.serialize_table(small_table).splitlines()
     path.write_text("\n".join(text[:-1]) + "\n")  # one row missing
     with pytest.raises(DatasetParseError):
+        load_table(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ("e_des ", "edes ", "line 2"),
+        ("grid 11", "grid 1", "line 3"),
+        ("grid 11", "grid eleven", "line 3"),
+        ("grid ", "grids ", "line 3"),
+        ("classifier ", "model ", "line 4"),
+        ("not_encoded_ids ", "ids ", "line 5"),
+        ("\nencoded_ids ", "\nenc_ids ", "line 6"),
+    ],
+)
+def test_load_table_checks_header_lines(tmp_path, small_table, old, new, where):
+    text = blending.serialize_table(small_table)
+    assert old in text
+    path = tmp_path / "table.txt"
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(DatasetParseError, match=f"^{where}:"):
         load_table(path)
 
 

@@ -1,7 +1,10 @@
 """Encoder classifier: resampling features, clipped decisions, training."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from motionblend import classifier
 from motionblend.classifier import (
@@ -60,6 +63,26 @@ def test_featurize_is_linear_in_values():
     direct = featurize(mix)
     combined = 0.3 * featurize(x) + 0.7 * featurize(y)
     assert np.allclose(direct, combined, rtol=0, atol=1e-9)
+
+
+def test_featurize_matches_per_axis_splines(small_samples):
+    # Reference: one not-a-knot spline per axis, blocks concatenated. The
+    # featurizer fits all axes at once and must agree bit for bit, because
+    # every stored model and table was built from these features.
+    def per_axis(values, points):
+        knots = np.arange(values.shape[0], dtype=float)
+        grid = np.linspace(0.0, float(values.shape[0] - 1), points)
+        return np.concatenate(
+            [CubicSpline(knots, values[:, a])(grid) for a in range(values.shape[1])]
+        )
+
+    rng = np.random.default_rng(3)
+    cases = [s.velocity.values[: s.effective_length] for s in small_samples[:8]]
+    cases += [rng.normal(0, 100, (n, rho)) for n in (4, 5, 7, 39, 250) for rho in (1, 3)]
+    for values in cases:
+        for points in (20, 7):
+            expected = per_axis(values, points)
+            assert np.array_equal(classifier._featurize_values(values, points), expected)
 
 
 def test_featurize_cuts_padding(small_samples):
@@ -179,6 +202,37 @@ def test_cross_validate_report_shape(small_part):
     assert report.best_val_part.encoded and report.best_val_part.not_encoded
 
 
+def test_cross_validate_featurizes_each_sample_once(small_part, monkeypatch):
+    cfg = TrainConfig(epochs=8, seed=3, splits=3)
+    calls = []
+    real = classifier._featurize_values
+
+    def counting(values, points):
+        calls.append(values.shape[0])
+        return real(values, points)
+
+    monkeypatch.setattr(classifier, "_featurize_values", counting)
+    report = cross_validate(small_part, cfg)
+    assert len(calls) == len(small_part.all)
+    monkeypatch.undo()
+    # Same models, curves and verdicts as training and scoring each split
+    # through the public per-split calls, which featurize on their own.
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.splits)
+    for i, child in enumerate(children):
+        split_seed = int(child.generate_state(1)[0])
+        rng = np.random.default_rng(split_seed)
+        train_part, val_part, _, _ = classifier._stratified_split(
+            small_part, cfg.train_fraction, rng
+        )
+        model, curves = train(train_part, replace(cfg, seed=split_seed), val_part)
+        assert classifier.curves_to_csv(curves) == classifier.curves_to_csv(
+            report.curves[i]
+        )
+        assert evaluate_split(model, val_part, len(curves)) == report.splits[i]
+        if i == report.best_index:
+            assert model_fingerprint(model) == model_fingerprint(report.best_model)
+
+
 def test_cross_validate_needs_enough_samples(small_part):
     lonely = [small_part.all[small_part.encoded[0]],
               small_part.all[small_part.not_encoded[0]],
@@ -202,6 +256,29 @@ def test_load_model_rejects_bad_header(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text("not a model\n")
     with pytest.raises(DatasetParseError):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ("thresholds 0.1 0.9", "thresholds nan nan", "line 3"),
+        ("thresholds 0.1 0.9", "thresholds 0.9 0.1", "line 3"),
+        ("thresholds 0.1 0.9", "thresholds 0.1 1.5", "line 3"),
+        ("thresholds 0.1 0.9", "thresholds 0.1", "line 3"),
+        ("thresholds 0.1 0.9", "thresholds low high", "line 3"),
+        ("dims ", "sizes ", "line 2"),
+        ("thresholds ", "limits ", "line 3"),
+        ("points_per_axis ", "points ", "line 4"),
+        ("dataset ", "data ", "line 5"),
+    ],
+)
+def test_load_model_checks_header_lines(tmp_path, small_model, old, new, where):
+    text = serialize_model(small_model)
+    assert old in text
+    path = tmp_path / "model.txt"
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(DatasetParseError, match=f"^{where}:"):
         load_model(path)
 
 

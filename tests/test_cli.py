@@ -259,6 +259,15 @@ def test_truncated_model_header_is_a_parse_failure(pipe, tmp_path):
          "--out", str(tmp_path / "t.txt")], expect=3)
 
 
+def test_bad_model_thresholds_are_a_parse_failure(pipe, tmp_path):
+    lines = pipe["model"].read_text().splitlines()
+    assert lines[2].startswith("thresholds ")
+    broken = tmp_path / "model.txt"
+    broken.write_text("\n".join(lines[:2] + ["thresholds nan nan"] + lines[3:]) + "\n")
+    run(["build-table", "--data", str(pipe["data"]), "--model", str(broken),
+         "--out", str(tmp_path / "t.txt")], expect=3)
+
+
 def test_config_file_overrides_schedule(pipe, tmp_path):
     # No --t0 flag exists: the INI section is the only path in, and a
     # longer warm-up must show up as pass-through rows in the trace.

@@ -140,13 +140,21 @@ def header():
         ("s,1,0.01,1.0,2.0,3.0,4.0,oops,6.0", "bad numeric"),
         ("s,1,0.01,1.0,2.0,3.0", "whole number"),
         ("s,1,0.01,1.0,2.0,3.0,4.0,5.0,6.0,7.0", "whole number"),
+        ("s,2,0.01,1.0,2.0,3.0,4.0,5.0,6.0", "bad label"),
+        ("s,-1,0.01,1.0,2.0,3.0,4.0,5.0,6.0", "bad label"),
+        ("s,1,nan,1.0,2.0,3.0,4.0,5.0,6.0", "non-finite"),
+        ("s,1,inf,1.0,2.0,3.0,4.0,5.0,6.0", "non-finite"),
+        ("s,1,0.01,inf,2.0,3.0,4.0,5.0,6.0", "non-finite"),
+        ("s,1,0.01,1.0,2.0,3.0,4.0,nan,6.0", "non-finite"),
+        ("s,0,0.01,1.0,2.0,3.0,4.0,5.0,-inf", "non-finite"),
     ],
 )
 def test_load_malformed_lines(tmp_path, line, fragment):
     path = tmp_path / "bad.csv"
     path.write_text(header() + "\n" + line + "\n")
-    with pytest.raises(DatasetParseError, match=fragment):
+    with pytest.raises(DatasetParseError, match=fragment) as info:
         load(path)
+    assert str(info.value).startswith("line 2:")
 
 
 def test_load_requires_header(tmp_path):

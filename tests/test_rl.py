@@ -343,6 +343,27 @@ def test_load_agent_rejects_inconsistent_header(tmp_path, old, new, where):
         load_agent(path)
 
 
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ("rho 3", "foo 3", "line 2"),
+        ("state_scale ", "scale ", "line 3"),
+        ("table ", "tbl ", "line 4"),
+        ("dims ", "shape ", "line 5"),
+        ("rho 3", "rho", "line 2"),
+        ("rho 3", "rho three", "line 2"),
+    ],
+)
+def test_load_agent_checks_header_keys(tmp_path, old, new, where):
+    net = Mlp([12, 16, 8], output="linear", rng=np.random.default_rng(4))
+    text = rl.serialize_agent(AgentModel(q_net=net))
+    assert old in text
+    path = tmp_path / "agent.txt"
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(DatasetParseError, match=f"^{where}:"):
+        load_agent(path)
+
+
 def test_load_agent_rejects_non_finite_weights(tmp_path):
     net = Mlp([12, 16, 8], output="linear", rng=np.random.default_rng(5))
     net.weights[1][2, 3] = np.nan
