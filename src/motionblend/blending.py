@@ -33,7 +33,7 @@ from .errors import (
     StaleArtifactError,
 )
 from .nn import header_text, header_values
-from .signals import MotionSignal, project
+from .signals import MotionSignal
 
 _TABLE_HEADER = "motionblend-table v1"
 DEFAULT_GRID_COUNT = 51
@@ -247,8 +247,8 @@ def compute_table(
         grid=grid,
         e_des=part.e_des,
         classifier_fingerprint=model_fingerprint(model),
-        not_encoded_ids=tuple(s.id for s in part.not_encoded_samples),
-        encoded_ids=tuple(s.id for s in part.encoded_samples),
+        not_encoded_ids=part.not_encoded_ids,
+        encoded_ids=part.encoded_ids,
     )
 
 
@@ -261,8 +261,8 @@ def check_table_matches(table: BlendTable, part: PartitionedDataset, model: Enco
         )
     if (
         table.e_des != part.e_des
-        or table.not_encoded_ids != tuple(s.id for s in part.not_encoded_samples)
-        or table.encoded_ids != tuple(s.id for s in part.encoded_samples)
+        or table.not_encoded_ids != part.not_encoded_ids
+        or table.encoded_ids != part.encoded_ids
     ):
         raise StaleArtifactError("table was built against a different partition")
 
@@ -293,8 +293,9 @@ def solve_offline(
     coefficient is returned together with the classifier's verdict on it.
     """
     check_table_matches(table, part, model)
-    eta_index, _ = project(v_h, part.not_encoded_signals)
-    reference_index, v_r = project(v_h, part.encoded_signals)
+    eta_index = part.nearest_not_encoded(v_h)
+    reference_index = part.nearest_encoded(v_h)
+    v_r = part.all[part.encoded[reference_index]].velocity
     c_index = int(table.entries[eta_index, reference_index])
     c_hat = float(table.grid.values[c_index])
     v_a = blend(v_h, v_r, c_hat)
@@ -345,12 +346,23 @@ def load_table(path) -> BlendTable:
         raise DatasetParseError(
             f"expected {len(ne_ids)} table rows, found {len(body)}"
         )
-    try:
-        entries = np.array([[int(x) for x in line.split()] for line in body])
-    except ValueError as exc:
-        raise DatasetParseError(f"bad table row: {exc}") from exc
+    rows = []
+    for lineno, line in enumerate(body, start=7):
+        try:
+            row = [int(x) for x in line.split()]
+        except ValueError as exc:
+            raise DatasetParseError(f"line {lineno}: bad table row: {exc}") from exc
+        if len(row) != len(e_ids):
+            raise DatasetParseError(
+                f"line {lineno}: expected {len(e_ids)} entries, found {len(row)}"
+            )
+        if not (0 <= min(row) and max(row) < count):
+            raise DatasetParseError(
+                f"line {lineno}: table entry outside the {count}-point grid"
+            )
+        rows.append(row)
     return BlendTable(
-        entries=entries,
+        entries=np.array(rows),
         grid=BlendGrid.uniform(count),
         e_des=e_des,
         classifier_fingerprint=fingerprint,

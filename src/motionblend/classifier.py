@@ -378,15 +378,18 @@ def cross_validate(part: PartitionedDataset, cfg: TrainConfig) -> CrossValReport
     )
 
 
-def serialize_model(model: EncoderModel) -> str:
-    lines = [
+def _header_lines(model: EncoderModel) -> list:
+    return [
         _MODEL_HEADER,
         "dims " + " ".join(str(d) for d in model.net.dims),
         f"thresholds {model.lower_threshold!r} {model.upper_threshold!r}",
         f"points_per_axis {model.points_per_axis}",
         f"dataset {model.dataset_fingerprint}",
     ]
-    lines += params_to_lines(model.net)
+
+
+def serialize_model(model: EncoderModel) -> str:
+    lines = _header_lines(model) + params_to_lines(model.net)
     return "\n".join(lines) + "\n"
 
 
@@ -419,6 +422,37 @@ def load_model(path) -> EncoderModel:
     )
 
 
+# (content, fingerprint) pairs of the models hashed last, newest first. A
+# process works with one or a few classifiers at a time, so four entries
+# bound the memory (one copy of each model's parameters) and a process that
+# alternates between two models still hashes each once.
+_FINGERPRINTS_KEPT = 4
+_fingerprints: list = []
+
+
+def _content(model: EncoderModel) -> tuple:
+    # serialize_model is a pure function of the header text and of each
+    # parameter's dtype, shape and raw bytes, so equal contents mean equal
+    # model text. Copying and comparing the bytes takes tens of microseconds;
+    # formatting them takes milliseconds.
+    net = model.net
+    params = tuple((p.dtype.str, p.shape, p.tobytes()) for p in (*net.weights, *net.biases))
+    return tuple(_header_lines(model)), net.output, len(net.weights), params
+
+
 def model_fingerprint(model: EncoderModel) -> str:
-    """sha256 of the canonical model text; binds tables to a classifier."""
-    return hashlib.sha256(serialize_model(model).encode()).hexdigest()
+    """sha256 of the canonical model text; binds tables to a classifier.
+
+    The text is hashed once per distinct model content, whichever object
+    holds it: a model whose content equals, byte for byte, that of a
+    recently hashed one gets the stored fingerprint. A model edited in
+    place no longer matches its old content and is re-hashed.
+    """
+    content = _content(model)
+    for seen, fingerprint in _fingerprints:
+        if seen == content:
+            return fingerprint
+    fingerprint = hashlib.sha256(serialize_model(model).encode()).hexdigest()
+    _fingerprints.insert(0, (content, fingerprint))
+    del _fingerprints[_FINGERPRINTS_KEPT:]
+    return fingerprint

@@ -100,11 +100,15 @@ def _load_samples(path):
     return samples
 
 
-def _check_model_dataset(model, samples):
-    if model.dataset_fingerprint not in ("-", dataset.dataset_fingerprint(samples)):
+def _check_model_dataset(model, samples) -> str:
+    """Refuse a classifier trained on other data; returns the dataset's
+    fingerprint so a stage computes it once."""
+    fingerprint = dataset.dataset_fingerprint(samples)
+    if model.dataset_fingerprint not in ("-", fingerprint):
         raise StaleArtifactError(
             "classifier was trained on a different dataset than the one provided"
         )
+    return fingerprint
 
 
 def _axis_names(rho: int, prefix: str):
@@ -331,7 +335,7 @@ def cmd_evaluate(args) -> int:
     cp = _load_config(args.config)
     samples = _load_samples(args.data)
     model = classifier.load_model(args.model)
-    _check_model_dataset(model, samples)
+    ds_fingerprint = _check_model_dataset(model, samples)
     table = blending.load_table(args.table)
     e_des = _get(args, cp, "run", "e_des", 1, int)
     part = dataset.partition(samples, e_des)
@@ -438,7 +442,7 @@ def cmd_evaluate(args) -> int:
         "# motionblend evaluation v1",
         f"# mode={args.mode}",
         f"# config={cfg_hash}",
-        f"# dataset={dataset.dataset_fingerprint(samples)}",
+        f"# dataset={ds_fingerprint}",
         f"# classifier={classifier.model_fingerprint(model)}",
         f"# table={blending.table_fingerprint(table)}",
         f"# agent={rl.agent_fingerprint(agent) if agent else '-'}",

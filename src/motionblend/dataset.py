@@ -10,6 +10,7 @@ disjoint.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -19,9 +20,10 @@ import numpy as np
 from .errors import (
     ConfigError,
     DatasetParseError,
+    DomainError,
     TrivialPartitionError,
 )
-from .signals import MotionSignal, SignalConfig
+from .signals import MotionSignal, Signal, SignalConfig, nearest
 
 _HEADER_PREFIX = "# motionblend-data v1"
 
@@ -65,12 +67,20 @@ class PartitionedDataset:
     ``encoded`` indexes the samples whose level already equals ``e_des``
     (the reference pool); ``not_encoded`` indexes the rest (the signals a
     session would alter). Both sides are non-empty by construction.
+
+    Samples and their signals are immutable, so the per-side id tuples,
+    stacked velocity arrays and prefix collisions are computed on first use
+    and kept.
     """
 
     all: tuple
     encoded: tuple
     not_encoded: tuple
     e_des: int
+    # validate_prefix_uniqueness results by t0.
+    _prefix_collisions: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def signal_config(self) -> SignalConfig:
@@ -91,6 +101,41 @@ class PartitionedDataset:
     @property
     def not_encoded_signals(self) -> list:
         return [self.all[i].velocity for i in self.not_encoded]
+
+    @functools.cached_property
+    def encoded_ids(self) -> tuple:
+        return tuple(self.all[i].id for i in self.encoded)
+
+    @functools.cached_property
+    def not_encoded_ids(self) -> tuple:
+        return tuple(self.all[i].id for i in self.not_encoded)
+
+    @functools.cached_property
+    def encoded_values(self) -> np.ndarray:
+        """Read-only (len(encoded), t_max, rho) stack of encoded velocities."""
+        return _stack_read_only(self.encoded_signals)
+
+    @functools.cached_property
+    def not_encoded_values(self) -> np.ndarray:
+        """Read-only (len(not_encoded), t_max, rho) stack of not-encoded
+        velocities."""
+        return _stack_read_only(self.not_encoded_signals)
+
+    def nearest_encoded(self, x: Signal) -> int:
+        """Index of the encoded signal :func:`signals.project` would pick."""
+        return nearest(x, self.encoded_values, self.all[self.encoded[0]].velocity)
+
+    def nearest_not_encoded(self, x: Signal) -> int:
+        """Index of the not-encoded signal :func:`signals.project` would pick."""
+        return nearest(
+            x, self.not_encoded_values, self.all[self.not_encoded[0]].velocity
+        )
+
+
+def _stack_read_only(signals: list) -> np.ndarray:
+    stacked = np.stack([v.values for v in signals])
+    stacked.setflags(write=False)
+    return stacked
 
 
 def partition(samples: Sequence[LabeledSample], e_des: int) -> PartitionedDataset:
@@ -126,21 +171,25 @@ def validate_prefix_uniqueness(part: PartitionedDataset, t0: int) -> list:
 
     Returns the list of (id, id) pairs whose first t0 velocity samples
     coincide after quantization to 1e-6 mm/s; an empty list means the
-    streaming controller can tell every signal apart by instant t0.
+    streaming controller can tell every signal apart by instant t0. The
+    scan runs once per partition and t0; every call gets a fresh list.
     """
     cfg = part.signal_config
     if int(t0) != t0 or not (1 <= t0 <= cfg.t_max):
         raise ConfigError(f"t0 {t0} outside [1, {cfg.t_max}]")
-    buckets: dict = {}
-    collisions = []
-    for s in part.not_encoded_samples:
-        prefix = s.velocity.values[: int(t0)]
-        key = np.round(prefix / 1e-6).astype(np.int64).tobytes()
-        if key in buckets:
-            collisions.append((buckets[key], s.id))
-        else:
-            buckets[key] = s.id
-    return collisions
+    cached = part._prefix_collisions.get(int(t0))
+    if cached is None:
+        buckets: dict = {}
+        collisions = []
+        for s in part.not_encoded_samples:
+            prefix = s.velocity.values[: int(t0)]
+            key = np.round(prefix / 1e-6).astype(np.int64).tobytes()
+            if key in buckets:
+                collisions.append((buckets[key], s.id))
+            else:
+                buckets[key] = s.id
+        cached = part._prefix_collisions[int(t0)] = tuple(collisions)
+    return list(cached)
 
 
 @dataclass(frozen=True)
@@ -317,8 +366,10 @@ def _parse_header(line: str):
     try:
         body = line[len(_HEADER_PREFIX):].split()
         kv = dict(item.split("=", 1) for item in body)
-        return int(kv["rho"]), int(kv["t_max"]), float(kv["delta_vel"])
-    except (KeyError, ValueError) as exc:
+        rho, t_max, delta_vel = int(kv["rho"]), int(kv["t_max"]), float(kv["delta_vel"])
+        SignalConfig(t_max=t_max, rho=rho, delta_vel=delta_vel)
+        return rho, t_max, delta_vel
+    except (KeyError, ValueError, DomainError) as exc:
         raise DatasetParseError(f"line 1: bad header: {exc}") from exc
 
 
@@ -362,10 +413,17 @@ def load(path) -> list:
             raise DatasetParseError(f"line {lineno}: bad numeric field: {exc}")
         if not (np.isfinite(dt) and np.all(np.isfinite(numbers))):
             raise DatasetParseError(f"line {lineno}: non-finite numeric field")
+        if not dt > 0:
+            raise DatasetParseError(f"line {lineno}: field 3: dt must be positive, got {dt!r}")
         if (numbers.size - rho) % rho != 0 or numbers.size <= rho:
             raise DatasetParseError(
                 f"line {lineno}: {numbers.size - rho} velocity values is not a "
                 f"whole number of {rho}-coordinate samples"
+            )
+        if numbers.size - rho > rho * t_max:
+            raise DatasetParseError(
+                f"line {lineno}: {(numbers.size - rho) // rho} velocity samples, "
+                f"more than t_max={t_max}"
             )
         cfg = SignalConfig(t_max=t_max, rho=rho, dt=dt, delta_vel=delta_vel)
         velocity = MotionSignal.from_samples(numbers[rho:].reshape(-1, rho), cfg)

@@ -227,10 +227,10 @@ def params_to_lines(net: Mlp) -> list:
     lines = []
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         lines.append(f"layer {i} {w.shape[0]} {w.shape[1]}")
-        for row in w:
-            lines.append(" ".join(repr(float(x)) for x in row))
+        # tolist() yields Python floats, whose repr is repr(float(x)).
+        lines += (" ".join(map(repr, row)) for row in w.tolist())
         lines.append(f"bias {i} {b.shape[0]}")
-        lines.append(" ".join(repr(float(x)) for x in b))
+        lines.append(" ".join(map(repr, b.tolist())))
     return lines
 
 

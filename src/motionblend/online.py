@@ -26,7 +26,7 @@ from .errors import (
     ProtocolError,
     ShapeMismatchError,
 )
-from .signals import MotionSignal, integrate, project, terminal_instant
+from .signals import MotionSignal, integrate, terminal_instant
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class OnlineSession:
         self.config = cfg
         self.initial_position = p0
         self.force_coefficient = force_coefficient
-        self._ne_values = np.stack([s.velocity.values for s in part.not_encoded_samples])
+        self._ne_values = part.not_encoded_values
         self._v_h = np.zeros((cfg.t_max, cfg.rho))
         self._v_a = np.zeros((cfg.t_max, cfg.rho))
         self._c_profile = np.ones(cfg.t_max)
@@ -132,8 +132,10 @@ class OnlineSession:
         self.eta_indices.append(eta_index)
         if self.reference_index is None:
             # First instant: freeze the encoded reference for the session.
-            eta = self.part.not_encoded_signals[eta_index]
-            self.reference_index, self._v_r = project(eta, self.part.encoded_signals)
+            part = self.part
+            eta = part.all[part.not_encoded[eta_index]].velocity
+            self.reference_index = part.nearest_encoded(eta)
+            self._v_r = part.all[part.encoded[self.reference_index]].velocity
         if self.force_coefficient is not None:
             c = float(self.force_coefficient)
         else:

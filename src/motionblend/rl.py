@@ -130,7 +130,7 @@ def make_episode(
     cfg = part.signal_config
     if mode == "online":
         res = replay(part, table, model, schedule, sample)
-        v_r = part.encoded_signals[res.reference_index]
+        v_r = part.all[part.encoded[res.reference_index]].velocity
         c = res.c_profile
         base_v_a = res.v_a.values
         eff_a = res.v_a.effective_length

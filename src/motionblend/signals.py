@@ -226,6 +226,19 @@ def project(x: Signal, collection: Sequence[Signal]):
     return idx, collection[idx]
 
 
+def nearest(x: Signal, stacked: np.ndarray, member: Signal) -> int:
+    """:func:`project`'s index for a collection stacked into one array.
+
+    ``stacked`` holds the members' values, shape (n, t_max, rho), and every
+    member shares ``member``'s shape and config, so checking the query
+    against ``member`` checks it against all of them. Same distance
+    arithmetic and tie-break as :func:`project`.
+    """
+    _check_same_frame(x, member)
+    sq = np.sum((stacked - x.values) ** 2, axis=(1, 2))
+    return int(np.argmin(sq))
+
+
 def terminal_instant(velocity: MotionSignal) -> TerminalInstant:
     """Earliest instant from which the movement stays at rest.
 

@@ -307,6 +307,27 @@ def test_load_table_errors(tmp_path, small_table):
 
 
 @pytest.mark.parametrize(
+    "row, entry, fragment",
+    [
+        (0, "99", "table entry outside the 11-point grid"),
+        (2, "11", "table entry outside the 11-point grid"),
+        (1, "-1", "table entry outside the 11-point grid"),
+        (3, "x", "bad table row"),
+        (0, "", "expected 16 entries, found 15"),
+    ],
+)
+def test_load_table_names_the_bad_row(tmp_path, small_table, row, entry, fragment):
+    lines = blending.serialize_table(small_table).splitlines()
+    cells = lines[6 + row].split()
+    cells[4] = entry
+    lines[6 + row] = " ".join(c for c in cells if c)
+    path = tmp_path / "table.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetParseError, match=f"^line {7 + row}: {fragment}"):
+        load_table(path)
+
+
+@pytest.mark.parametrize(
     "old, new, where",
     [
         ("e_des ", "edes ", "line 2"),

@@ -268,6 +268,17 @@ def test_bad_model_thresholds_are_a_parse_failure(pipe, tmp_path):
          "--out", str(tmp_path / "t.txt")], expect=3)
 
 
+def test_table_entry_outside_grid_is_a_parse_failure(pipe, tmp_path):
+    lines = pipe["table"].read_text().splitlines()
+    cells = lines[6].split()
+    cells[0] = "99"
+    broken = tmp_path / "table.txt"
+    broken.write_text("\n".join(lines[:6] + [" ".join(cells)] + lines[7:]) + "\n")
+    run(["alter", "--data", str(pipe["data"]), "--model", str(pipe["model"]),
+         "--table", str(broken), "--sample-id", "n0000", "--mode", "offline",
+         "--out", str(tmp_path / "trace.csv")], expect=3)
+
+
 def test_config_file_overrides_schedule(pipe, tmp_path):
     # No --t0 flag exists: the INI section is the only path in, and a
     # longer warm-up must show up as pass-through rows in the trace.

@@ -147,6 +147,9 @@ def header():
         ("s,1,0.01,inf,2.0,3.0,4.0,5.0,6.0", "non-finite"),
         ("s,1,0.01,1.0,2.0,3.0,4.0,nan,6.0", "non-finite"),
         ("s,0,0.01,1.0,2.0,3.0,4.0,5.0,-inf", "non-finite"),
+        ("s,1,0.0,1.0,2.0,3.0,4.0,5.0,6.0", "dt must be positive"),
+        ("s,1,-0.01,1.0,2.0,3.0,4.0,5.0,6.0", "dt must be positive"),
+        ("s,1,0.01,1.0,2.0,3.0" + ",4.0" * 3 * 31, "more than t_max=30"),
     ],
 )
 def test_load_malformed_lines(tmp_path, line, fragment):
@@ -162,6 +165,24 @@ def test_load_requires_header(tmp_path):
     path.write_text("s,1,0.01,1.0,2.0,3.0,4.0,5.0,6.0\n")
     with pytest.raises(DatasetParseError, match="header"):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "bad", ["rho=0 t_max=30 delta_vel=10.0", "rho=3 t_max=1 delta_vel=10.0",
+            "rho=3 t_max=30 delta_vel=nan"],
+)
+def test_load_rejects_bad_header_values(tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# motionblend-data v1 {bad}\ns,1,0.01,1.0,2.0,3.0,4.0,5.0,6.0\n")
+    with pytest.raises(DatasetParseError, match="^line 1:"):
+        load(path)
+
+
+def test_load_accepts_exactly_t_max_samples(tmp_path):
+    path = tmp_path / "full.csv"
+    path.write_text(header() + "\ns,1,0.01,1.0,2.0,3.0" + ",4.0" * 3 * 30 + "\n")
+    (s,) = load(path)
+    assert s.effective_length == 30
 
 
 def test_sample_validation():

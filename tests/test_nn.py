@@ -268,6 +268,32 @@ def test_params_text_roundtrip_exact():
     assert all(np.array_equal(a, b) for a, b in zip(net.biases, back.biases))
 
 
+def _per_element_lines(net):
+    # The serializer as it was: one repr(float(x)) per element.
+    lines = []
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        lines.append(f"layer {i} {w.shape[0]} {w.shape[1]}")
+        for row in w:
+            lines.append(" ".join(repr(float(x)) for x in row))
+        lines.append(f"bias {i} {b.shape[0]}")
+        lines.append(" ".join(repr(float(x)) for x in b))
+    return lines
+
+
+def test_params_to_lines_matches_per_element_repr():
+    rng = np.random.default_rng(19)
+    net = Mlp([6, 9, 4], output="linear", rng=rng)
+    tiny = np.finfo(np.float64).tiny
+    special = [0.0, -0.0, 5e-324, -tiny / 3, tiny, 1e308, -1.7976931348623157e308,
+               1e-300, 0.1, 123456789.125, -2.5e-17]
+    net.weights[0].flat[: len(special)] = special
+    net.weights[1] *= 10.0 ** rng.integers(-300, 300, net.weights[1].shape)
+    net.biases[0][:] = rng.normal(size=9)
+    net.biases[1][:] = [-0.0, 5e-324, 1e300, -7.0]
+    assert np.signbit(net.weights[0].flat[1]) and 0.0 < net.weights[0].flat[2] < tiny
+    assert params_to_lines(net) == _per_element_lines(net)
+
+
 def test_params_from_lines_errors():
     net = Mlp([2, 2], output="linear", rng=np.random.default_rng(16))
     lines = params_to_lines(net)
