@@ -32,7 +32,8 @@ def main():
           f"({raw.verdict.value}) before alteration")
 
     sol = solve_offline(sample.velocity, part, table, model)
-    print(f"nearest encoded member: index {sol.eta_index}")
+    print(f"nearest not-encoded member (table row): index {sol.eta_index}")
+    print(f"nearest encoded member (reference): index {sol.reference_index}")
     print(f"largest coefficient still classified encoded: c={sol.c_hat:.2f}")
     print(f"altered signal scores {sol.decision.raw_score:.3f} "
           f"({sol.decision.verdict.value})")

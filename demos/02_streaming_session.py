@@ -3,15 +3,14 @@
 The session passes the signal through untouched during warm-up, then at
 every scheduled instant narrows down which stored movement the stream is,
 looks up that movement's precomputed coefficient, and mixes from there on.
-At the end it reports the per-instant coefficient staircase, the
-reconstruction the caller can rebuild from it, and how the final
-coefficient compares with the whole-signal solution.
+At the end it reports the per-instant coefficient staircase and how the
+final coefficient compares with the whole-signal solution.
 """
 
 from motionblend.blending import BlendGrid, compute_table, solve_offline
 from motionblend.classifier import TrainConfig, train
 from motionblend.dataset import PRESETS, generate_synthetic, partition
-from motionblend.online import OnlineSchedule, replay, start_session
+from motionblend.online import OnlineSchedule, start_session
 
 
 def main():
@@ -42,14 +41,6 @@ def main():
     print(f"terminal position gap {result.terminal_gap:.1f} mm")
     print(f"identification work: {session.stats['distance_ops']} element "
           f"distance folds across {session.stats['updates']} updates")
-
-    # The retroactive profile tells offline consumers which coefficient
-    # would have applied at each instant had it been known from the start.
-    retro = replay(part, table, model, schedule, sample, retroactive=True)
-    changes = [(t + 1, round(float(c), 2))
-               for t, c in enumerate(retro.c_profile)
-               if t == 0 or c != retro.c_profile[t - 1]]
-    print(f"retroactive profile steps (t, c): {changes}")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .errors import (
     StaleArtifactError,
 )
 from .nn import header_text, header_values
-from .signals import MotionSignal
+from .signals import MotionSignal, support_length
 
 _TABLE_HEADER = "motionblend-table v1"
 DEFAULT_GRID_COUNT = 51
@@ -88,10 +88,7 @@ def blend(v_h: MotionSignal, v_r: MotionSignal, c: float) -> MotionSignal:
     if v_h.config != v_r.config:
         raise ShapeMismatchError("blend inputs come from different configs")
     values = c * v_h.values + (1.0 - c) * v_r.values
-    eff = max(v_h.effective_length, v_r.effective_length)
-    nonzero = np.nonzero(np.any(values[:eff] != 0.0, axis=1))[0]
-    if nonzero.size:
-        eff = int(nonzero[-1]) + 1
+    eff = support_length(values, max(v_h.effective_length, v_r.effective_length))
     return MotionSignal(values, v_h.config, eff)
 
 
@@ -125,11 +122,6 @@ class BlendTable:
 
     def coefficient(self, i: int, j: int) -> float:
         return float(self.grid.values[self.entries[i, j]])
-
-
-def _support(values: np.ndarray, eff: int) -> int:
-    nonzero = np.nonzero(np.any(values[:eff] != 0.0, axis=1))[0]
-    return int(nonzero[-1]) + 1 if nonzero.size else eff
 
 
 class _TableContext:
@@ -174,7 +166,7 @@ class _TableContext:
         if none.
         """
         net = self.model.net
-        sup_h = _support(ne_values, ne_eff)
+        sup_h = support_length(ne_values, ne_eff)
         f_own = _featurize_values(ne_values[:sup_h], self.points)
         own_score = float(forward(self.model, f_own))
         lengths = np.maximum(sup_h, self.enc_supports)
@@ -230,7 +222,8 @@ def compute_table(
     """
     enc_values = [s.velocity.values for s in part.encoded_samples]
     enc_supports = [
-        _support(s.velocity.values, s.effective_length) for s in part.encoded_samples
+        support_length(s.velocity.values, s.effective_length)
+        for s in part.encoded_samples
     ]
     ne = [(s.velocity.values, s.effective_length) for s in part.not_encoded_samples]
     init_args = (model, enc_values, enc_supports, grid.values, model.points_per_axis)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import os
 import sys
 import time
 from dataclasses import replace
@@ -29,13 +30,10 @@ from .errors import (
     InvalidSignalError,
     MotionBlendError,
     PrefixUniquenessError,
-    ProtocolError,
     ShapeMismatchError,
     StaleArtifactError,
-    TrainingError,
     TrivialPartitionError,
 )
-from .signals import integrate, terminal_instant
 
 _SEED_STREAMS = {"data": 0, "classifier": 1, "agent": 2}
 
@@ -100,15 +98,29 @@ def _load_samples(path):
     return samples
 
 
-def _check_model_dataset(model, samples) -> str:
-    """Refuse a classifier trained on other data; returns the dataset's
-    fingerprint so a stage computes it once."""
+def _load_partition(args, cp):
+    """Load the dataset and the classifier, refuse a classifier trained on
+    other data, and partition. Returns the samples, the partition, the
+    classifier and the dataset fingerprint, computed once."""
+    samples = _load_samples(args.data)
+    model = classifier.load_model(args.model)
     fingerprint = dataset.dataset_fingerprint(samples)
     if model.dataset_fingerprint not in ("-", fingerprint):
         raise StaleArtifactError(
             "classifier was trained on a different dataset than the one provided"
         )
-    return fingerprint
+    part = dataset.partition(samples, _get(args, cp, "run", "e_des", 1, int))
+    return samples, part, model, fingerprint
+
+
+def _load_bundle(args, cp, agent=None):
+    """:func:`_load_partition` plus the table, bound with the run's schedule,
+    correction and ``agent`` into one checked bundle."""
+    samples, part, model, fingerprint = _load_partition(args, cp)
+    bundle = rl.AlterationBundle(part, blending.load_table(args.table), model,
+                                 _schedule_from(args, cp), _correction_from(args, cp),
+                                 agent)
+    return samples, bundle, fingerprint
 
 
 def _axis_names(rho: int, prefix: str):
@@ -153,8 +165,6 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_classifier(args) -> int:
-    import os
-
     cp = _load_config(args.config)
     samples = _load_samples(args.data)
     e_des = _get(args, cp, "run", "e_des", 1, int)
@@ -213,11 +223,7 @@ def cmd_train_classifier(args) -> int:
 
 def cmd_build_table(args) -> int:
     cp = _load_config(args.config)
-    samples = _load_samples(args.data)
-    model = classifier.load_model(args.model)
-    _check_model_dataset(model, samples)
-    e_des = _get(args, cp, "run", "e_des", 1, int)
-    part = dataset.partition(samples, e_des)
+    _, part, model, _ = _load_partition(args, cp)
     grid = blending.BlendGrid.uniform(_get(args, cp, "grid", "count", 51, int))
     started = time.time()
     table = blending.compute_table(part, grid, model, workers=args.workers)
@@ -241,56 +247,20 @@ def _find_sample(samples, sample_id):
 
 def cmd_alter(args) -> int:
     cp = _load_config(args.config)
-    samples = _load_samples(args.data)
-    model = classifier.load_model(args.model)
-    _check_model_dataset(model, samples)
-    table = blending.load_table(args.table)
-    e_des = _get(args, cp, "run", "e_des", 1, int)
-    part = dataset.partition(samples, e_des)
+    samples, bundle, _ = _load_bundle(args, cp)
     sample = _find_sample(samples, args.sample_id)
-    if args.mode == "offline":
-        if args.force_c is not None:
-            v_r = blending.solve_offline(sample.velocity, part, table, model).v_r
-            v_a = blending.blend(sample.velocity, v_r, args.force_c)
-            c_final = args.force_c
-            decision = classifier.classify(model, v_a)
-        else:
-            sol = blending.solve_offline(sample.velocity, part, table, model)
-            v_a, c_final, decision = sol.v_a, sol.c_hat, sol.decision
-        c_per_t = np.full(sample.velocity.config.t_max, c_final)
-        p_h = integrate(sample.velocity, sample.initial_position)
-        p_a = integrate(v_a, sample.initial_position)
-        term = terminal_instant(sample.velocity)
-        gap = float(np.linalg.norm(p_h.values[term.t - 1] - p_a.values[term.t - 1]))
-        v_h_values, v_a_values = sample.velocity.values, v_a.values
-    else:
-        schedule = _schedule_from(args, cp)
-        res = online.replay(part, table, model, schedule, sample,
-                            force_coefficient=args.force_c)
-        c_final = res.c_history[-1]
-        decision = res.decision
-        gap = res.terminal_gap
-        c_per_t = res.c_profile
-        v_h_values, v_a_values = res.v_h.values, res.v_a.values
-    _write_trace(args.out, v_h_values, v_a_values, c_per_t)
-    print(f"sample {sample.id} mode {args.mode}: c={c_final:.4f} "
-          f"verdict={decision.verdict.value} score={decision.raw_score:.4f} "
-          f"terminal_gap={gap:.2f}mm")
+    out = bundle.alter(sample, args.mode, args.force_c)
+    _write_trace(args.out, sample.velocity.values, out.v_a.values, out.c_profile)
+    print(f"sample {sample.id} mode {args.mode}: c={out.c_final:.4f} "
+          f"verdict={out.decision.verdict.value} score={out.decision.raw_score:.4f} "
+          f"terminal_gap={out.terminal_gap:.2f}mm")
     print(f"trace written to {args.out}")
     return 0
 
 
 def cmd_train_agent(args) -> int:
     cp = _load_config(args.config)
-    samples = _load_samples(args.data)
-    model = classifier.load_model(args.model)
-    _check_model_dataset(model, samples)
-    table = blending.load_table(args.table)
-    e_des = _get(args, cp, "run", "e_des", 1, int)
-    part = dataset.partition(samples, e_des)
-    blending.check_table_matches(table, part, model)
-    correction = _correction_from(args, cp)
-    schedule = _schedule_from(args, cp)
+    _, bundle, _ = _load_bundle(args, cp)
     train_cfg = rl.AgentTrainConfig(
         episodes=_get(args, cp, "agent", "episodes", 1100, int),
         learning_rate=_get(args, cp, "agent", "learning_rate", 0.001),
@@ -303,7 +273,8 @@ def cmd_train_agent(args) -> int:
         mode=args.c_mode,
     )
     started = time.time()
-    agent, log = rl.train_agent(part, table, model, correction, train_cfg, schedule)
+    agent, log = rl.train_agent(bundle.part, bundle.table, bundle.model,
+                                bundle.correction, train_cfg, bundle.schedule)
     rl.save_agent(args.out, agent)
     with open(args.log, "w") as fh:
         fh.write(rl.training_log_to_csv(log))
@@ -330,30 +301,14 @@ def _read_val_ids(path):
 
 
 def cmd_evaluate(args) -> int:
-    import os
-
     cp = _load_config(args.config)
-    samples = _load_samples(args.data)
-    model = classifier.load_model(args.model)
-    ds_fingerprint = _check_model_dataset(model, samples)
-    table = blending.load_table(args.table)
-    e_des = _get(args, cp, "run", "e_des", 1, int)
-    part = dataset.partition(samples, e_des)
-    blending.check_table_matches(table, part, model)
-    correction = _correction_from(args, cp)
-    schedule = _schedule_from(args, cp)
     agent = None
     if args.mode == "online+rl":
         if not args.agent:
             raise ConfigError("mode online+rl needs --agent")
         agent = rl.load_agent(args.agent)
-        if agent.rho != part.signal_config.rho:
-            raise ShapeMismatchError(
-                f"agent was trained for rho {agent.rho}, "
-                f"the dataset has rho {part.signal_config.rho}"
-            )
-        if agent.table_fingerprint not in ("-", blending.table_fingerprint(table)):
-            raise StaleArtifactError("agent was trained against a different table")
+    samples, bundle, ds_fingerprint = _load_bundle(args, cp, agent)
+    e_des, schedule, correction = bundle.part.e_des, bundle.schedule, bundle.correction
     val_ids = set(_read_val_ids(args.val_ids))
     by_id = {s.id: s for s in samples}
     missing = sorted(val_ids - set(by_id))
@@ -362,71 +317,19 @@ def cmd_evaluate(args) -> int:
     targets = [by_id[i] for i in sorted(val_ids) if by_id[i].encoding_level != e_des]
     if not targets:
         raise DatasetParseError("validation split has no not-encoded samples")
+    outcomes = [bundle.alter(sample, args.mode, args.force_c) for sample in targets]
     if args.traces_dir:
         os.makedirs(args.traces_dir, exist_ok=True)
+        for sample, out in zip(targets, outcomes):
+            _write_trace(os.path.join(args.traces_dir, f"trace_{sample.id}.csv"),
+                         sample.velocity.values, out.v_a.values, out.c_profile)
 
-    rows = []
-    for sample in targets:
-        if args.mode == "offline":
-            if args.force_c is not None:
-                base = blending.solve_offline(sample.velocity, part, table, model)
-                v_a = blending.blend(sample.velocity, base.v_r, args.force_c)
-                c_final, decision = args.force_c, classifier.classify(model, v_a)
-            else:
-                sol = blending.solve_offline(sample.velocity, part, table, model)
-                v_a, c_final, decision = sol.v_a, sol.c_hat, sol.decision
-            p_h = integrate(sample.velocity, sample.initial_position)
-            p_a = integrate(v_a, sample.initial_position)
-            term = terminal_instant(sample.velocity)
-            gap = float(np.linalg.norm(p_h.values[term.t - 1] - p_a.values[term.t - 1]))
-            c_trace = np.full(sample.velocity.config.t_max, c_final)
-            v_h_values, v_a_values = sample.velocity.values, v_a.values
-            approx = False
-        elif args.mode == "online":
-            res = online.replay(part, table, model, schedule, sample,
-                                force_coefficient=args.force_c)
-            c_final, decision, gap = res.c_history[-1], res.decision, res.terminal_gap
-            c_trace = res.c_profile
-            v_h_values, v_a_values = res.v_h.values, res.v_a.values
-            approx = res.approximate
-        else:
-            episode = rl.make_episode(part, table, model, schedule, sample)
-            env = rl.CorrectionEnv(episode, correction)
-            state = env.reset()
-            done = False
-            while not done:
-                state, _, done, _ = env.step(agent.act_greedy(state))
-            v_a_sig = env.corrected_signal()
-            decision = classifier.classify(model, v_a_sig)
-            gap = env.trace.terminal_gap
-            c_final = float(episode.c[episode.horizon - 1])
-            c_trace = episode.c
-            v_h_values, v_a_values = episode.v_h, v_a_sig.values
-            approx = False
-        ok = gap <= correction.delta_pos
-        rows.append(
-            {
-                "sample_id": sample.id,
-                "c_final": float(c_final),
-                "raw_score": decision.raw_score,
-                "verdict": decision.verdict.value,
-                "terminal_gap": gap,
-                "constraint_ok": int(ok),
-                "approximate": int(approx),
-            }
-        )
-        if args.traces_dir:
-            _write_trace(
-                os.path.join(args.traces_dir, f"trace_{sample.id}.csv"),
-                v_h_values, v_a_values, c_trace,
-            )
-
-    n = len(rows)
-    success = sum(r["verdict"] == classifier.Verdict.ENCODED.value for r in rows) / n
-    constraint = sum(r["constraint_ok"] for r in rows) / n
-    unclassified = sum(
-        r["verdict"] == classifier.Verdict.UNCLASSIFIED.value for r in rows
-    ) / n
+    n = len(outcomes)
+    verdicts = [out.decision.verdict for out in outcomes]
+    inside = [int(out.terminal_gap <= correction.delta_pos) for out in outcomes]
+    success = verdicts.count(classifier.Verdict.ENCODED) / n
+    constraint = sum(inside) / n
+    unclassified = verdicts.count(classifier.Verdict.UNCLASSIFIED) / n
     cfg_hash = _config_hash(
         {
             "mode": args.mode,
@@ -443,21 +346,20 @@ def cmd_evaluate(args) -> int:
         f"# mode={args.mode}",
         f"# config={cfg_hash}",
         f"# dataset={ds_fingerprint}",
-        f"# classifier={classifier.model_fingerprint(model)}",
-        f"# table={blending.table_fingerprint(table)}",
+        f"# classifier={classifier.model_fingerprint(bundle.model)}",
+        f"# table={bundle.table_fingerprint}",
         f"# agent={rl.agent_fingerprint(agent) if agent else '-'}",
         f"# n_samples={n}",
         f"# success_rate={success!r}",
         f"# constraint_rate={constraint!r}",
         f"# unclassified_rate={unclassified!r}",
     ]
-    cols = ["sample_id", "c_final", "raw_score", "verdict", "terminal_gap",
-            "constraint_ok", "approximate"]
-    lines = header + [",".join(cols)]
-    for r in rows:
-        lines.append(",".join(
-            repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in cols
-        ))
+    lines = header + ["sample_id,c_final,raw_score,verdict,terminal_gap,"
+                      "constraint_ok,approximate"]
+    for sample, out, ok in zip(targets, outcomes, inside):
+        lines.append(f"{sample.id},{out.c_final!r},{out.decision.raw_score!r},"
+                     f"{out.decision.verdict.value},{out.terminal_gap!r},{ok},"
+                     f"{int(out.approximate)}")
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"mode {args.mode}: n={n} success_rate={success:.4f} "

@@ -24,15 +24,6 @@ class ShapeMismatchError(MotionBlendError, ValueError):
     lengths differ."""
 
 
-class ExpansionNotFoundError(MotionBlendError, LookupError):
-    """No set member restricts to the given prefix."""
-
-
-class AmbiguousExpansionError(MotionBlendError, LookupError):
-    """More than one set member restricts to the given prefix, so the
-    expansion is not well defined."""
-
-
 class TrivialPartitionError(MotionBlendError, ValueError):
     """A dataset split left one side of the partition empty."""
 

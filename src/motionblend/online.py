@@ -26,7 +26,7 @@ from .errors import (
     ProtocolError,
     ShapeMismatchError,
 )
-from .signals import MotionSignal, integrate, terminal_instant
+from .signals import MotionSignal, gap_at, integrate, support_length, terminal_instant
 
 
 @dataclass(frozen=True)
@@ -189,14 +189,10 @@ class OnlineSession:
         v_h = MotionSignal(self._v_h, cfg, eff_h)
         eff_a = eff_h if self._v_r is None else max(eff_h, self._v_r.effective_length)
         # Same support semantics as blend(): trailing exact zeros do not count.
-        nonzero = np.nonzero(np.any(self._v_a[:eff_a] != 0.0, axis=1))[0]
-        if nonzero.size:
-            eff_a = int(nonzero[-1]) + 1
-        v_a = MotionSignal(self._v_a, cfg, eff_a)
+        v_a = MotionSignal(self._v_a, cfg, support_length(self._v_a, eff_a))
         p_h = integrate(v_h, self.initial_position)
         p_a = integrate(v_a, self.initial_position)
         term = terminal_instant(v_h)
-        gap = float(np.linalg.norm(p_h.values[term.t - 1] - p_a.values[term.t - 1]))
         return SessionResult(
             v_h=v_h,
             v_a=v_a,
@@ -205,7 +201,7 @@ class OnlineSession:
             c_history=tuple(self.c_history),
             c_profile=self._c_profile[: self._t].copy(),
             decision=classify(self.model, v_a),
-            terminal_gap=gap,
+            terminal_gap=gap_at(p_h, p_a, term.t),
             t_term=term.t,
             terminates=term.terminates,
             reference_index=self.reference_index,
@@ -240,63 +236,11 @@ def replay(
     schedule: OnlineSchedule,
     sample,
     force_coefficient: Optional[float] = None,
-    retroactive: bool = False,
 ) -> SessionResult:
-    """Stream a stored sample through a fresh session, padding included.
-
-    ``retroactive`` rebuilds the altered signal with each coefficient
-    assigned backward over the samples it was computed from, the indexing a
-    live controller cannot realize; it exists for comparing the causal
-    output against that convention on stored data.
-    """
+    """Stream a stored sample through a fresh session, padding included."""
     session = start_session(
         part, table, model, schedule, sample.initial_position, force_coefficient
     )
     for row in sample.velocity.values:
         session.push(row)
-    result = session.finish(effective_length=sample.effective_length)
-    if retroactive:
-        result = _reassign_retroactively(result, schedule, session)
-    return result
-
-
-def _reassign_retroactively(
-    result: SessionResult, schedule: OnlineSchedule, session: OnlineSession
-) -> SessionResult:
-    cfg = session.config
-    if session.reference_index is None:
-        return result
-    v_r = session._v_r.values
-    v_h = result.v_h.values
-    profile = np.ones(cfg.t_max)
-    # history[k] was computed at instant t0 + (k-1) * delta_t; spread each
-    # coefficient from history[2] on over the samples that produced it.
-    for t in range(schedule.t0 + 1, cfg.t_max + 1):
-        i = -(-(t - schedule.t0) // schedule.delta_t)  # interval index, from 1
-        k = min(i + 1, len(result.c_history) - 1)
-        profile[t - 1] = result.c_history[k]
-    values = profile[:, None] * v_h + (1.0 - profile[:, None]) * v_r
-    eff_a = max(result.v_h.effective_length, session._v_r.effective_length)
-    nonzero = np.nonzero(np.any(values[:eff_a] != 0.0, axis=1))[0]
-    if nonzero.size:
-        eff_a = int(nonzero[-1]) + 1
-    v_a = MotionSignal(values, cfg, eff_a)
-    p_a = integrate(v_a, session.initial_position)
-    gap = float(
-        np.linalg.norm(result.p_h.values[result.t_term - 1] - p_a.values[result.t_term - 1])
-    )
-    return SessionResult(
-        v_h=result.v_h,
-        v_a=v_a,
-        p_h=result.p_h,
-        p_a=p_a,
-        c_history=result.c_history,
-        c_profile=profile[: len(result.c_profile)],
-        decision=classify(session.model, v_a),
-        terminal_gap=gap,
-        t_term=result.t_term,
-        terminates=result.terminates,
-        reference_index=result.reference_index,
-        eta_indices=result.eta_indices,
-        approximate=result.approximate,
-    )
+    return session.finish(effective_length=sample.effective_length)

@@ -10,24 +10,36 @@ active gate costs k_alpha per step).
 A sufficiently high episode reward certifies the terminal constraint: any
 trace that violates it forfeits at least the final in-ball bonus and pays
 one exit penalty, which caps its achievable reward at bound_sigma.
+
+:class:`AlterationBundle` binds the artifacts once and alters a sample in
+any of the three modes: offline, online, and online with the gate.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .blending import BlendTable, solve_offline, table_fingerprint
-from .classifier import EncoderModel
+from .blending import (
+    BlendTable,
+    blend,
+    check_table_matches,
+    solve_offline,
+    table_fingerprint,
+)
+from .classifier import Decision, EncoderModel, classify
 from .dataset import PartitionedDataset
 from .errors import (
     ConfigError,
     DatasetParseError,
     DomainError,
     ProtocolError,
+    ShapeMismatchError,
+    StaleArtifactError,
     TrainingError,
 )
 from .nn import (
@@ -39,7 +51,7 @@ from .nn import (
     q_gradients,
 )
 from .online import OnlineSchedule, replay
-from .signals import MotionSignal, SignalConfig, terminal_instant
+from .signals import MotionSignal, SignalConfig, gap_at, integrate, terminal_instant
 
 HORIZON_CAP = 200
 STATE_SCALE = 0.001  # mm -> m for the value network only
@@ -49,11 +61,7 @@ _AGENT_HEADER = "motionblend-agent v1"
 
 @dataclass(frozen=True)
 class CorrectionConfig:
-    """Correction gain, tube radius, and reward shaping.
-
-    ``sigma`` optionally pins the reported certificate threshold; when left
-    None every check derives the sound per-horizon bound itself.
-    """
+    """Correction gain, tube radius, and reward shaping."""
 
     k_u: float = 10.0
     delta_pos: float = 20.0
@@ -62,7 +70,6 @@ class CorrectionConfig:
     r_in: float = 100.0
     r_exit: float = -1000.0
     gamma: float = 0.99
-    sigma: Optional[float] = None
 
     def __post_init__(self):
         if not (self.k_u > 0):
@@ -428,10 +435,7 @@ def train_agent(
         target = q_net.copy()
         ep_reward = env.trace.discounted_reward(cfg.gamma)
         rewards_seen.append(ep_reward)
-        bound = (
-            cfg.sigma if cfg.sigma is not None
-            else guarantee_bound(episode.horizon, cfg)
-        )
+        bound = guarantee_bound(episode.horizon, cfg)
         log.append(
             {
                 "episode": k,
@@ -502,3 +506,91 @@ def load_agent(path) -> AgentModel:
         )
     net = params_from_lines(lines[5:], dims, output="linear", first_line=6)
     return AgentModel(q_net=net, rho=rho, state_scale=state_scale, table_fingerprint=table_fp)
+
+
+@dataclass(frozen=True, eq=False)
+class Outcome:
+    """One altered sample, whatever the mode.
+
+    ``c_profile`` is the coefficient applied at each sample. ``trace`` is the
+    corrected episode's record in mode online+rl and None otherwise.
+    """
+
+    c_profile: np.ndarray
+    c_final: float
+    v_a: MotionSignal
+    decision: Decision
+    terminal_gap: float
+    approximate: bool
+    trace: Optional[EpisodeTrace] = None
+
+
+@dataclass(frozen=True, eq=False)
+class AlterationBundle:
+    """Artifacts bound once; :meth:`alter` alters a sample in any mode.
+
+    The constructor refuses a table built from another classifier or
+    partition, and an agent trained for another rho or another table.
+    """
+
+    part: PartitionedDataset
+    table: BlendTable
+    model: EncoderModel
+    schedule: OnlineSchedule = OnlineSchedule()
+    correction: CorrectionConfig = CorrectionConfig()
+    agent: Optional[AgentModel] = None
+
+    def __post_init__(self):
+        check_table_matches(self.table, self.part, self.model)
+        agent, rho = self.agent, self.part.signal_config.rho
+        if agent is not None and agent.rho != rho:
+            raise ShapeMismatchError(
+                f"agent was trained for rho {agent.rho}, the dataset has rho {rho}"
+            )
+        if agent is not None and agent.table_fingerprint not in ("-", self.table_fingerprint):
+            raise StaleArtifactError("agent was trained against a different table")
+
+    @cached_property
+    def table_fingerprint(self) -> str:
+        """The table's fingerprint, hashed at most once per bundle."""
+        return table_fingerprint(self.table)
+
+    def alter(self, sample, mode: str, force_c: Optional[float] = None) -> Outcome:
+        """Alter one sample in mode offline, online or online+rl.
+
+        ``force_c`` replaces the table's coefficient: offline the solved
+        reference is blended at that value, online every scheduled lookup
+        returns it. Mode online+rl refuses it.
+        """
+        if mode == "offline":
+            sol = solve_offline(sample.velocity, self.part, self.table, self.model)
+            if force_c is None:
+                c, v_a, decision = sol.c_hat, sol.v_a, sol.decision
+            else:
+                c, v_a = float(force_c), blend(sample.velocity, sol.v_r, force_c)
+                decision = classify(self.model, v_a)
+            p0 = sample.initial_position
+            gap = gap_at(integrate(sample.velocity, p0), integrate(v_a, p0),
+                         terminal_instant(sample.velocity).t)
+            c_profile = np.full(self.part.signal_config.t_max, c)
+            return Outcome(c_profile, c, v_a, decision, gap, False)
+        if mode == "online":
+            res = replay(self.part, self.table, self.model, self.schedule, sample,
+                         force_coefficient=force_c)
+            return Outcome(res.c_profile, res.c_history[-1], res.v_a, res.decision,
+                           res.terminal_gap, res.approximate)
+        if mode != "online+rl":
+            raise ConfigError(f"unknown alteration mode {mode!r}")
+        if self.agent is None:
+            raise ConfigError("mode online+rl needs an agent")
+        if force_c is not None:
+            raise ConfigError("a forced coefficient does not apply to mode online+rl")
+        episode = make_episode(self.part, self.table, self.model, self.schedule, sample)
+        env = CorrectionEnv(episode, self.correction)
+        state, done = env.reset(), False
+        while not done:
+            state, _, done, _ = env.step(self.agent.act_greedy(state))
+        v_a = env.corrected_signal()
+        return Outcome(episode.c, float(episode.c[episode.horizon - 1]), v_a,
+                       classify(self.model, v_a), env.trace.terminal_gap, False,
+                       env.trace)

@@ -17,13 +17,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    AmbiguousExpansionError,
-    DomainError,
-    ExpansionNotFoundError,
-    InvalidSignalError,
-    ShapeMismatchError,
-)
+from .errors import DomainError, InvalidSignalError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -200,6 +194,20 @@ def integrate(velocity: MotionSignal, initial_position) -> MotionSignal:
     return MotionSignal(p, velocity.config, velocity.effective_length)
 
 
+def gap_at(p_h: MotionSignal, p_a: MotionSignal, t: int) -> float:
+    """Euclidean distance between two position signals at 1-based instant t."""
+    return float(np.linalg.norm(p_h.values[t - 1] - p_a.values[t - 1]))
+
+
+def support_length(values: np.ndarray, effective_length: int) -> int:
+    """Samples up to the last nonzero one among the first effective_length.
+
+    Trailing exact zeros do not count; an all-zero window keeps its length.
+    """
+    nonzero = np.nonzero(np.any(values[:effective_length] != 0.0, axis=1))[0]
+    return int(nonzero[-1]) + 1 if nonzero.size else effective_length
+
+
 def dist(x1: Signal, x2: Signal) -> float:
     """L2 distance between two signals of identical length.
 
@@ -253,32 +261,3 @@ def terminal_instant(velocity: MotionSignal) -> TerminalInstant:
     if idx.size == 0:
         return TerminalInstant(1, True)
     return TerminalInstant(int(idx[-1]) + 2, True)
-
-
-def restrict(x: MotionSignal, tau: int) -> SignalPrefix:
-    """First tau samples of a signal as a prefix, 1 <= tau <= t_max."""
-    if int(tau) != tau or not (1 <= tau <= x.config.t_max):
-        raise DomainError(f"tau {tau} outside [1, {x.config.t_max}]")
-    return SignalPrefix(x.values[: int(tau)], x.config)
-
-
-def expand(prefix: SignalPrefix, collection: Sequence[MotionSignal]) -> MotionSignal:
-    """The unique collection member whose restriction equals the prefix.
-
-    Well defined only when exactly one member matches sample for sample;
-    zero matches raise ExpansionNotFoundError and several raise
-    AmbiguousExpansionError.
-    """
-    tau = prefix.tau
-    matches = [
-        m for m in collection
-        if m.config.rho == prefix.config.rho
-        and np.array_equal(m.values[:tau], prefix.values)
-    ]
-    if not matches:
-        raise ExpansionNotFoundError(f"no member restricts to the given {tau}-prefix")
-    if len(matches) > 1:
-        raise AmbiguousExpansionError(
-            f"{len(matches)} members share the given {tau}-prefix"
-        )
-    return matches[0]

@@ -8,6 +8,7 @@ agent training. The criteria that need them carry the ``slow`` marker, so
 """
 
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,6 @@ from motionblend.blending import BlendGrid, blend, compute_table, solve_offline
 from motionblend.classifier import (
     TrainConfig,
     Verdict,
-    classify,
     cross_validate,
     featurize,
     forward,
@@ -28,11 +28,10 @@ from motionblend.nn import bce_gradients, bce_loss
 from motionblend.online import OnlineSchedule, replay
 from motionblend.rl import (
     AgentTrainConfig,
+    AlterationBundle,
     CorrectionConfig,
-    CorrectionEnv,
     EpisodeTrace,
     check_guarantee,
-    make_episode,
     reward,
     train_agent,
 )
@@ -67,6 +66,9 @@ def paper():
     ns.table_seconds = time.time() - started
     ns.schedule = OnlineSchedule()
     ns.correction = CorrectionConfig()
+    ns.bundle = AlterationBundle(
+        ns.part, ns.table, ns.model, ns.schedule, ns.correction
+    )
     ns.targets = [
         s for s in ns.report.best_val_part.all if s.encoding_level != ns.part.e_des
     ]
@@ -77,11 +79,11 @@ def paper():
 def online_eval(paper):
     rows = []
     for sample in paper.targets:
-        res = replay(paper.part, paper.table, paper.model, paper.schedule, sample)
+        out = paper.bundle.alter(sample, "online")
         rows.append(
             {
-                "encoded": res.decision.verdict is Verdict.ENCODED,
-                "ok": res.terminal_gap <= paper.correction.delta_pos,
+                "encoded": out.decision.verdict is Verdict.ENCODED,
+                "ok": out.terminal_gap <= paper.correction.delta_pos,
             }
         )
     return SimpleNamespace(
@@ -103,22 +105,15 @@ def agent(paper):
 
 @pytest.fixture(scope="module")
 def rl_eval(paper, agent):
+    bundle = replace(paper.bundle, agent=agent.model)
     rows = []
     for sample in paper.targets:
-        episode = make_episode(
-            paper.part, paper.table, paper.model, paper.schedule, sample
-        )
-        env = CorrectionEnv(episode, paper.correction)
-        state = env.reset()
-        done = False
-        while not done:
-            state, _, done, _ = env.step(agent.model.act_greedy(state))
-        verdict = classify(paper.model, env.corrected_signal()).verdict
+        out = bundle.alter(sample, "online+rl")
         rows.append(
             {
-                "encoded": verdict is Verdict.ENCODED,
-                "gap": env.trace.terminal_gap,
-                "check": check_guarantee(env.trace, paper.correction),
+                "encoded": out.decision.verdict is Verdict.ENCODED,
+                "gap": out.terminal_gap,
+                "check": check_guarantee(out.trace, paper.correction),
             }
         )
     return SimpleNamespace(

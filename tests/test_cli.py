@@ -216,6 +216,37 @@ def test_evaluate_rl_mode_refuses_agent_for_other_rho(pipe, tmp_path):
          "--out", str(tmp_path / "x.csv")], expect=3)
 
 
+def test_evaluate_rl_mode_refuses_forced_coefficient(pipe, tmp_path):
+    # The agent's episodes use the table's coefficients, so a forced one
+    # would be ignored while still changing the report's config hash.
+    out = tmp_path / "x.csv"
+    traces = tmp_path / "traces"
+    run(["evaluate", "--data", str(pipe["data"]), "--model", str(pipe["model"]),
+         "--table", str(pipe["table"]), "--val-ids", str(pipe["val_ids"]),
+         "--mode", "online+rl", "--agent", str(pipe["agent"]), "--force-c", "0.0",
+         "--out", str(out), "--traces-dir", str(traces)], expect=2)
+    assert not out.exists() and not traces.exists()
+
+
+def test_evaluate_rl_mode_hashes_the_table_once(pipe, tmp_path, monkeypatch):
+    calls = []
+    original = blending.serialize_table
+
+    def counting(table):
+        calls.append(table)
+        return original(table)
+
+    monkeypatch.setattr(blending, "serialize_table", counting)
+    out = tmp_path / "rl.csv"
+    run(["evaluate", "--data", str(pipe["data"]), "--model", str(pipe["model"]),
+         "--table", str(pipe["table"]), "--val-ids", str(pipe["val_ids"]),
+         "--mode", "online+rl", "--agent", str(pipe["agent"]),
+         "--out", str(out)])
+    assert len(calls) == 1
+    header, _ = read_report(out)
+    assert header["table"] == blending.table_fingerprint(calls[0])
+
+
 def test_evaluate_unknown_val_id(pipe, tmp_path):
     bad = tmp_path / "ids.csv"
     bad.write_text("id,label\nghost,0\n")

@@ -5,7 +5,7 @@ import pytest
 
 from motionblend import blending, online
 from motionblend.blending import compute_table, solve_offline
-from motionblend.classifier import EncoderModel, classify
+from motionblend.classifier import EncoderModel
 from motionblend.dataset import LabeledSample, partition
 from motionblend.errors import (
     ConfigError,
@@ -188,26 +188,6 @@ def test_finish_trims_altered_support(hand_setup, small_model):
     assert res.v_h.effective_length == 50
     # Altered output keeps its own support, not the reference's window.
     assert res.v_a.effective_length == 11
-
-
-def test_retroactive_reassignment(small_part, small_table, small_model, schedule):
-    sample = small_part.not_encoded_samples[5]
-    causal = replay(small_part, small_table, small_model, schedule, sample)
-    retro = replay(
-        small_part, small_table, small_model, schedule, sample, retroactive=True
-    )
-    assert retro.c_history == causal.c_history
-    t0, dt = schedule.t0, schedule.delta_t
-    history = causal.c_history
-    profile = np.ones(sample.velocity.config.t_max)
-    for t in range(t0 + 1, profile.size + 1):
-        interval = -(-(t - t0) // dt)
-        profile[t - 1] = history[min(interval + 1, len(history) - 1)]
-    assert np.array_equal(retro.c_profile, profile)
-    v_r = small_part.encoded_signals[retro.reference_index]
-    expected = profile[:, None] * causal.v_h.values + (1 - profile[:, None]) * v_r.values
-    assert np.array_equal(retro.v_a.values, expected)
-    assert retro.decision == classify(small_model, retro.v_a)
 
 
 def test_session_protocol_errors(small_part, small_table, small_model, schedule):

@@ -3,14 +3,23 @@
 import numpy as np
 import pytest
 
-from motionblend import rl
-from motionblend.blending import solve_offline, table_fingerprint
-from motionblend.errors import ConfigError, DatasetParseError, DomainError, ProtocolError
+from motionblend import blending, rl
+from motionblend.blending import blend, solve_offline, table_fingerprint
+from motionblend.classifier import classify
+from motionblend.errors import (
+    ConfigError,
+    DatasetParseError,
+    DomainError,
+    ProtocolError,
+    ShapeMismatchError,
+    StaleArtifactError,
+)
 from motionblend.nn import Mlp
 from motionblend.online import OnlineSchedule, replay
 from motionblend.rl import (
     AgentModel,
     AgentTrainConfig,
+    AlterationBundle,
     CorrectionConfig,
     CorrectionEnv,
     Episode,
@@ -173,6 +182,89 @@ def test_make_episode_offline_constant_coefficient(
     assert np.array_equal(ep.base_v_a, sol.v_a.values)
     with pytest.raises(ConfigError):
         make_episode(small_part, small_table, small_model, schedule, sample, mode="x")
+
+
+def random_agent(rho=3, table_fp="-"):
+    net = Mlp([4 * rho, 8, 2**rho], output="linear", rng=np.random.default_rng(0))
+    return AgentModel(q_net=net, rho=rho, table_fingerprint=table_fp)
+
+
+def test_bundle_checks_the_agent_once(
+    small_part, small_table, small_model, schedule, monkeypatch
+):
+    calls = []
+    original = blending.serialize_table
+    monkeypatch.setattr(
+        blending, "serialize_table", lambda t: calls.append(t) or original(t)
+    )
+    agent = random_agent(table_fp=table_fingerprint(small_table))
+    calls.clear()
+    bundle = AlterationBundle(small_part, small_table, small_model, schedule,
+                              CFG, agent)
+    assert bundle.table_fingerprint == agent.table_fingerprint
+    assert len(calls) == 1
+    AlterationBundle(small_part, small_table, small_model, schedule, CFG,
+                     random_agent())  # "-" binds any table
+    with pytest.raises(StaleArtifactError):
+        AlterationBundle(small_part, small_table, small_model, schedule, CFG,
+                         random_agent(table_fp="0" * 64))
+    with pytest.raises(ShapeMismatchError):
+        AlterationBundle(small_part, small_table, small_model, schedule, CFG,
+                         random_agent(rho=2))
+
+
+def test_bundle_alter_follows_each_mode_path(
+    small_part, small_table, small_model, schedule
+):
+    agent = random_agent()
+    bundle = AlterationBundle(small_part, small_table, small_model, schedule,
+                              CFG, agent)
+    sample = small_part.not_encoded_samples[3]
+    t_max = sample.velocity.config.t_max
+
+    sol = solve_offline(sample.velocity, small_part, small_table, small_model)
+    out = bundle.alter(sample, "offline")
+    assert out.c_final == sol.c_hat and out.decision == sol.decision
+    assert np.array_equal(out.v_a.values, sol.v_a.values)
+    assert np.array_equal(out.c_profile, np.full(t_max, sol.c_hat))
+    assert out.trace is None and not out.approximate
+    forced = bundle.alter(sample, "offline", force_c=0.5)
+    assert np.array_equal(forced.v_a.values, blend(sample.velocity, sol.v_r, 0.5).values)
+    assert forced.c_final == 0.5
+    assert forced.decision == classify(small_model, forced.v_a)
+
+    res = replay(small_part, small_table, small_model, schedule, sample)
+    out = bundle.alter(sample, "online")
+    assert out.c_final == res.c_history[-1] and out.decision == res.decision
+    assert out.terminal_gap == res.terminal_gap
+    assert np.array_equal(out.v_a.values, res.v_a.values)
+    assert np.array_equal(out.c_profile, res.c_profile)
+
+    episode = make_episode(small_part, small_table, small_model, schedule, sample)
+    env = CorrectionEnv(episode, CFG)
+    state, done = env.reset(), False
+    while not done:
+        state, _, done, _ = env.step(agent.act_greedy(state))
+    out = bundle.alter(sample, "online+rl")
+    assert np.array_equal(out.v_a.values, env.corrected_signal().values)
+    assert out.terminal_gap == env.trace.terminal_gap
+    assert out.trace.rewards == env.trace.rewards
+    assert out.c_final == episode.c[episode.horizon - 1]
+
+
+def test_bundle_alter_refuses_bad_modes(small_part, small_table, small_model, schedule):
+    sample = small_part.not_encoded_samples[0]
+    plain = AlterationBundle(small_part, small_table, small_model, schedule)
+    with pytest.raises(ConfigError):
+        plain.alter(sample, "retroactive")
+    with pytest.raises(ConfigError):
+        plain.alter(sample, "online+rl")
+    gated = AlterationBundle(small_part, small_table, small_model, schedule,
+                             CFG, random_agent())
+    with pytest.raises(ConfigError):
+        gated.alter(sample, "online+rl", force_c=0.5)
+    with pytest.raises(DomainError):
+        plain.alter(sample, "offline", force_c=1.5)
 
 
 def test_trace_terminal_gap_indexing():

@@ -9,23 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motionblend.errors import (
-    AmbiguousExpansionError,
-    DomainError,
-    ExpansionNotFoundError,
-    InvalidSignalError,
-    ShapeMismatchError,
-)
+from motionblend.errors import DomainError, InvalidSignalError, ShapeMismatchError
 from motionblend.signals import (
     MotionSignal,
     SignalConfig,
     SignalPrefix,
     differentiate,
     dist,
-    expand,
     integrate,
     project,
-    restrict,
     terminal_instant,
 )
 
@@ -194,33 +186,3 @@ def test_terminal_instant_threshold_is_strict():
     # Speed exactly delta_vel counts as rest.
     at = [10.0, 0.0, 0.0]
     assert terminal_instant(sig([at, at], eff=8)) == (1, True)
-
-
-def test_restrict_and_expand_roundtrip():
-    rng = np.random.default_rng(3)
-    pool = [sig(rng.normal(0, 50, (CFG.t_max, 3)), eff=CFG.t_max) for _ in range(5)]
-    for tau in (1, 3, CFG.t_max):
-        for m in pool:
-            assert expand(restrict(m, tau), pool) is m
-
-
-def test_restrict_bad_tau():
-    s = sig([[1, 1, 1]])
-    with pytest.raises(DomainError):
-        restrict(s, 0)
-    with pytest.raises(DomainError):
-        restrict(s, CFG.t_max + 1)
-
-
-def test_expand_no_match():
-    pool = [sig([[1, 0, 0]]), sig([[2, 0, 0]])]
-    stranger = restrict(sig([[3, 0, 0]]), 1)
-    with pytest.raises(ExpansionNotFoundError):
-        expand(stranger, pool)
-
-
-def test_expand_ambiguous():
-    shared = [[4, 4, 4], [1, 0, 0]]
-    pool = [sig(shared + [[5, 0, 0]]), sig(shared + [[6, 0, 0]])]
-    with pytest.raises(AmbiguousExpansionError):
-        expand(restrict(pool[0], 2), pool)
